@@ -84,14 +84,18 @@ def epsilon_at(t: int, sched: EpsilonSchedule) -> float:
         return sched.eps0
     if t < 1:
         raise ValueError("power-law schedules start at t = 1")
-    return min(sched.eps0 + sched.kappa * float(t) ** -sched.alpha_decay, _EPS_CEILING)
+    return float(_power_law(sched, np.array([float(t)]))[0])
 
 
 def epsilon_array(sched: EpsilonSchedule, horizon: int) -> np.ndarray:
     """epsilon_at evaluated for engine steps 0..horizon-1 (step 0 uses t = 1)."""
     if sched.kind is ScheduleKind.CONSTANT:
         return np.full(horizon, sched.eps0)
-    t = np.maximum(np.arange(horizon, dtype=float), 1.0)
+    return _power_law(sched, np.maximum(np.arange(horizon, dtype=float), 1.0))
+
+
+def _power_law(sched: EpsilonSchedule, t: np.ndarray) -> np.ndarray:
+    # Arrays only: Python's and numpy's scalar powers can round differently.
     return np.minimum(sched.eps0 + sched.kappa * t**-sched.alpha_decay, _EPS_CEILING)
 
 
@@ -218,8 +222,8 @@ def mask_fires(spec: ChannelSpec, t: int) -> bool:
     return mask_u01(spec, t) < epsilon_at(max(t, 1), spec.mask_rate)
 
 
-def _tile(symbols: str, length: int) -> str:
-    if length <= 0:
+def tile(symbols: str, length: int) -> str:
+    if length <= 0 or not symbols:
         return ""
     reps = -(-length // len(symbols))
     return (symbols * reps)[:length]
@@ -271,7 +275,7 @@ def apply_psi(n: NoiseDraw, c, spec: ChannelSpec, masked: bool | None = None) ->
     if kind is PsiKind.CONSTANT:
         return Meaning(spec.const_meaning)
     length = psi_output_length(spec, getattr(c, "norm", 0.0), n.source_t)
-    return Meaning(_tile(n.symbols, length))
+    return Meaning(tile(n.symbols, length))
 
 
 def _iid_noise(spec: ChannelSpec, rng: np.random.Generator) -> NoiseDraw:

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
+import numpy as np
+
+from ..columns import column_blocks
+
 WIDTH = 640
 HEIGHT = 400
 MARGIN = 48
@@ -13,21 +17,18 @@ def _scale(values, lo, hi, out_lo, out_hi):
     span = hi - lo
     if span <= 0.0:
         span = 1.0
-    return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in values]
+    return out_lo + (values - lo) / span * (out_hi - out_lo)
 
 
 def svg_line_plot(series, threshold: float | None = None,
                   title: str = "") -> str:
     """An SVG document plotting one value series against its index."""
-    values = [float(v) for v in series]
-    if not values:
-        values = [0.0]
-    lo = min(values + ([threshold] if threshold is not None else []))
-    hi = max(values + ([threshold] if threshold is not None else []))
-    lo = min(lo, 0.0)
-    xs = _scale(range(len(values)), 0, max(len(values) - 1, 1), MARGIN, WIDTH - MARGIN)
-    ys = _scale(values, lo, hi, HEIGHT - MARGIN, MARGIN)
-    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+    values = np.asarray(series, dtype=float).tolist() or [0.0]
+    bounds = values + ([threshold] if threshold is not None else [])
+    lo, hi = min(min(bounds), 0.0), max(bounds)
+    xs = _scale(np.arange(len(values)), 0, max(len(values) - 1, 1), MARGIN, WIDTH - MARGIN)
+    ys = _scale(np.array(values), lo, hi, HEIGHT - MARGIN, MARGIN)
+    points = " ".join(" ".join(map(",".join, zip(*t))) for _, t in column_blocks([xs, ys], ".2f"))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
@@ -38,7 +39,7 @@ def svg_line_plot(series, threshold: float | None = None,
         f'y2="{HEIGHT - MARGIN}" stroke="black"/>',
     ]
     if threshold is not None:
-        ty = _scale([threshold], lo, hi, HEIGHT - MARGIN, MARGIN)[0]
+        ty = _scale(threshold, lo, hi, HEIGHT - MARGIN, MARGIN)
         parts.append(
             f'<line x1="{MARGIN}" y1="{ty:.2f}" x2="{WIDTH - MARGIN}" '
             f'y2="{ty:.2f}" stroke="red" stroke-dasharray="6,4"/>')

@@ -10,6 +10,7 @@ process exit code.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import os
@@ -60,6 +61,12 @@ def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def _csv_text(write, *args) -> str:
+    buffer = io.StringIO()
+    write(*args, buffer)
+    return buffer.getvalue()
 
 
 def _slug(label: str) -> str:
@@ -182,12 +189,8 @@ def _execute_run_job(scenario, label, overrides, seed, outdir):
             entry["classification"] = verdict["detail"]["classification"]
     stem = f"{_slug(label)}__seed{seed}"
     if "csv" in scenario.outputs:
-        import io
-
-        buffer = io.StringIO()
-        traj.write_csv(buffer)
         path = outdir / f"{stem}.csv"
-        _atomic_write(path, buffer.getvalue())
+        _atomic_write(path, _csv_text(traj.write_csv))
         entry["csv"] = path.name
     if "svg" in scenario.outputs:
         path = outdir / f"{stem}.svg"
@@ -213,16 +216,11 @@ def _execute_swarm_job(scenario, label, overrides, seed, outdir):
     }
     stem = f"{_slug(label)}__seed{seed}"
     if "csv" in scenario.outputs:
-        import io
-
         for agent in range(spec.k):
-            buffer = io.StringIO()
-            traj.write_agent_csv(agent, buffer)
-            _atomic_write(outdir / f"{stem}__agent{agent}.csv", buffer.getvalue())
-        buffer = io.StringIO()
-        traj.write_collective_csv(buffer)
+            _atomic_write(outdir / f"{stem}__agent{agent}.csv",
+                          _csv_text(traj.write_agent_csv, agent))
         path = outdir / f"{stem}__collective.csv"
-        _atomic_write(path, buffer.getvalue())
+        _atomic_write(path, _csv_text(traj.write_collective_csv))
         entry["csv"] = path.name
     if "svg" in scenario.outputs:
         path = outdir / f"{stem}.svg"
@@ -475,7 +473,9 @@ def aggregate_reports(directory) -> dict:
     for path in sorted(directory.rglob("*.json")):
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError) as exc:
+            rows.append({"source": path.stem, "run": "-", "check": "readable_json", "status": FAIL,
+                         "detail": {"file": str(path.relative_to(directory)), "error": str(exc)}})
             continue
         if "runs" in doc:
             for entry in doc["runs"]:
@@ -505,10 +505,10 @@ def aggregate_reports(directory) -> dict:
                 "detail": {"slope": doc["slope"], "r_squared": doc["r_squared"]},
             })
     failures = sum(1 for r in rows if r["status"] == FAIL)
-    return {"rows": rows, "failures": failures, "passed": failures == 0}
+    return {"rows": rows, "failures": failures, "passed": failures == 0 and bool(rows)}
 
 
-_MARGIN_KEYS = ("min_margin", "mean_drift", "max_norm", "bursts", "bound",
+_MARGIN_KEYS = ("file", "min_margin", "mean_drift", "max_norm", "bursts", "bound",
                 "observed", "rho", "slope", "full_slope", "low_rank_slope",
                 "fixed_point_step", "classification", "collective_mean",
                 "gamma_star", "r_squared", "o1_violations", "findings")

@@ -24,7 +24,7 @@ class CostVariant(str, Enum):
 
 @dataclass(frozen=True)
 class CostModel:
-    """Scenario-supplied cost coefficients; d_model is informational only."""
+    """Scenario-supplied cost coefficients."""
 
     alpha_attn: float = 1.0
     alpha_ffn: float = 1.0
@@ -32,7 +32,6 @@ class CostModel:
     rank: int = 1
     alpha_attn_r: float = 1.0
     log_coeff: float = 1.0
-    d_model: int = 0
 
     def __post_init__(self) -> None:
         if self.alpha_attn <= 0.0 or self.alpha_ffn <= 0.0 or self.alpha_attn_r <= 0.0:

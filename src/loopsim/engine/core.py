@@ -13,7 +13,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator, NamedTuple, TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -27,7 +27,9 @@ from ..channel import (
     meaning_digest,
     noise_from_digest,
     psi_output_length,
+    tile,
 )
+from ..columns import write_csv
 from ..cost import CostModel, CostVariant, flops_at
 from ..measures import MeasureSpec, length_measure
 
@@ -118,7 +120,6 @@ class ContextState:
     mode: Mode = Mode.ABSTRACT
     norm: float = 0.0
     symbols: str = ""
-    window_cap: int | None = None
 
     def __post_init__(self) -> None:
         if self.norm < 0.0:
@@ -159,12 +160,10 @@ class RunConfig:
         return self.channel.seed
 
     def initial_state(self) -> ContextState:
-        cap = self.update.window if self.update.kind is UpdateKind.WINDOWED else None
         return ContextState(
             mode=self.mode,
             norm=float(self.initial_norm),
             symbols=self.initial_symbols if self.mode is Mode.CONCRETE else "",
-            window_cap=cap,
         )
 
 
@@ -198,6 +197,7 @@ class StepRecord(NamedTuple):
 
 
 CSV_HEADER = "t,norm,omega,delta,epsilon_t,flops,events"
+_EVENT_TEXT = np.array([";".join(event_names(bits)) for bits in range(32)], dtype=object)
 
 
 @dataclass
@@ -240,17 +240,6 @@ class Trajectory:
         above = np.nonzero(self.norms > level)[0]
         return int(above[0]) if len(above) else None
 
-    def record(self, t: int) -> StepRecord:
-        return StepRecord(
-            t, float(self.norm[t]), float(self.omega[t]), float(self.delta[t]),
-            float(self.epsilon_t[t]), float(self.flops[t]),
-            event_names(int(self.events[t])),
-        )
-
-    def iter_records(self) -> Iterator[StepRecord]:
-        for t in range(self.steps):
-            yield self.record(t)
-
     def records_equal(self, other: "Trajectory") -> bool:
         return (
             self.steps == other.steps
@@ -264,26 +253,15 @@ class Trajectory:
         )
 
     def write_csv(self, out: TextIO) -> None:
-        out.write(CSV_HEADER + "\n")
-        for t in range(self.steps):
-            names = ";".join(event_names(int(self.events[t])))
-            out.write(
-                f"{t},{self.norm[t]:.12g},{self.omega[t]:.12g},{self.delta[t]:.12g},"
-                f"{self.epsilon_t[t]:.12g},{self.flops[t]:.12g},{names}\n"
-            )
+        write_csv(out, CSV_HEADER,
+                  [self.norm, self.omega, self.delta, self.epsilon_t, self.flops],
+                  _EVENT_TEXT[self.events].tolist())
 
 
 def _sublinear(h_kind: SublinearKind, x: float) -> float:
     if h_kind is SublinearKind.SQRT:
         return math.sqrt(x)
     return math.log1p(x)
-
-
-def _tile_to(symbols: str, count: int) -> str:
-    if count <= 0 or not symbols:
-        return ""
-    reps = -(-count // len(symbols))
-    return (symbols * reps)[:count]
 
 
 def _budget_tripped(cfg: RunConfig, norm: float, cum_flops: float) -> bool:
@@ -372,7 +350,7 @@ def _concrete_transition(entry_norm, entry_symbols, t, cfg, masked, cum_flops,
             new_norm = float(rule.window)
             events |= EVENT_BURST_HIT_W
         grow = int(new_norm) - len(symbols)
-        new_symbols = symbols + _tile_to(m.symbols, grow) if grow > 0 else symbols
+        new_symbols = symbols + tile(m.symbols, grow) if grow > 0 else symbols
     return new_norm, new_symbols, omega, new_norm - entry_norm, events
 
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-BINARY_ALPHABET = "01"
-
 
 @dataclass(frozen=True)
 class Meaning:
@@ -24,9 +22,6 @@ class Meaning:
     @property
     def is_empty(self) -> bool:
         return not self.symbols
-
-
-EMPTY = Meaning("")
 
 
 def concat(*meanings: Meaning) -> Meaning:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..meanings import Meaning, concat, edit_distance
-from .core import MeasureKind, MeasureSpec, symmetrised_kl
+from .core import MeasureSpec, symmetrised_kl
 from .lz78 import lz78_parse
 
 _TOL = 1e-9
@@ -112,9 +112,6 @@ def audit_measure(
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
-    if spec.kind is MeasureKind.SKL:
-        raise ValueError("the symmetrised-KL measure is audited on distributions; "
-                         "use audit_skl_pairs")
     rng = np.random.default_rng(seed)
     sampler = sampler or default_sampler
     report = AuditReport(samples=samples)

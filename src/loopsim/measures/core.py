@@ -29,7 +29,6 @@ class MeasureKind(str, Enum):
     LENGTH = "LENGTH"
     COMPRESSION_GAIN = "COMPRESSION_GAIN"
     POWER_LAW = "POWER_LAW"
-    SKL = "SKL"
     FISHER = "FISHER"
     DECLARED_BONUS = "DECLARED_BONUS"
     LINEAR_COMBO = "LINEAR_COMBO"

@@ -19,6 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import derive_seed
+from .columns import write_csv
 from .meanings import Meaning
 from .measures import declared_gain
 
@@ -157,20 +158,14 @@ class SwarmTrajectory:
         return int(above[0]) if len(above) else None
 
     def write_agent_csv(self, agent: int, out) -> None:
-        out.write("t,norm,omega,delta,active\n")
-        for t in range(self.steps):
-            out.write(
-                f"{t},{self.norm[agent, t]:.12g},"
-                f"{self.delta[agent, t] / self.spec.delta:.12g},"
-                f"{self.delta[agent, t]:.12g},{int(self.active[agent, t])}\n"
-            )
+        delta = self.delta[agent]
+        write_csv(out, "t,norm,omega,delta,active",
+                  [self.norm[agent, :-1], delta / self.spec.delta, delta],
+                  map(str, self.active[agent].astype(int).tolist()))
 
     def write_collective_csv(self, out) -> None:
-        out.write("t,sum_delta,active_count\n")
-        collective = self.collective
-        counts = self.active.sum(axis=0)
-        for t in range(self.steps):
-            out.write(f"{t},{collective[t]:.12g},{int(counts[t])}\n")
+        write_csv(out, "t,sum_delta,active_count", [self.collective],
+                  map(str, self.active.sum(axis=0).tolist()))
 
 
 def run_swarm(spec: SwarmSpec, horizon: int, seed: int = 0) -> SwarmTrajectory:

@@ -89,10 +89,12 @@ class TestEpsilonSchedule:
             power_law_mask(0.6, 0.5, 1.0)
 
     def test_array_matches_pointwise(self):
-        sched = power_law_mask(0.05, 0.3, 0.7)
-        arr = epsilon_array(sched, 50)
-        for t in range(50):
-            assert arr[t] == epsilon_at(max(t, 1), sched)
+        # Bit for bit over a long horizon: Python's float power differs from
+        # numpy's in the last ulp at some steps for alpha = 0.5.
+        for sched in (power_law_mask(0.1, 0.4, 0.5), power_law_mask(0.05, 0.3, 0.7)):
+            arr = epsilon_array(sched, 100_000)
+            point = [epsilon_at(max(t, 1), sched) for t in range(100_000)]
+            assert arr.tolist() == point
 
 
 class TestMaskStream:

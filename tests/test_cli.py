@@ -263,6 +263,20 @@ class TestCliVerbs:
         assert result.exit_code == 0
         assert "COUNTEREXAMPLE FOUND (documented)" in result.output
 
+    def test_report_fails_on_unreadable_summary(self, tmp_path):
+        CliRunner().invoke(main, ["run", "builtin", "--scenario", "drift",
+                                  "--out", str(tmp_path)])
+        (tmp_path / "x.summary.json").write_text('{"runs": [', encoding="utf-8")
+        result = CliRunner().invoke(main, ["report", str(tmp_path)])
+        assert result.exit_code == 1
+        assert "file=x.summary.json" in result.output
+        assert "1 failures" in result.output
+
+    def test_report_fails_on_empty_directory(self, tmp_path):
+        result = CliRunner().invoke(main, ["report", str(tmp_path)])
+        assert result.exit_code == 1
+        assert "0 verdicts" in result.output
+
     def test_report_flags_failures(self, tmp_path):
         config = tmp_path / "fail.ini"
         config.write_text(MINIMAL.replace("initial_norm = 11",

@@ -1,0 +1,198 @@
+"""Column-wise artifact writers against plain per-row f-string references."""
+
+import io
+import math
+from xml.sax.saxutils import escape
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loopsim.channel import ChannelSpec, PsiKind, constant_mask, power_law_mask
+from loopsim.cli.plots import HEIGHT, MARGIN, WIDTH, svg_line_plot
+from loopsim.columns import BLOCK_ROWS, format_column
+from loopsim.engine import (
+    BudgetGate,
+    Mode,
+    RunConfig,
+    Trajectory,
+    event_names,
+    run,
+    windowed,
+)
+from loopsim.swarm import GainMode, Schedule, SwarmSpec, SwarmTrajectory, run_swarm
+
+SPECS = (".12g", ".2f")
+SPECIALS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+            -2.2250738585072014e-308, 1e300, -1e300, 0.1, 1.0 / 3.0)
+
+floats = st.one_of(st.floats(width=64), st.sampled_from(SPECIALS),
+                   st.floats(min_value=-1e300, max_value=1e300))
+
+
+# -- references: the per-row writers as plain f-strings ---------------------
+
+def reference_run_csv(traj) -> str:
+    rows = ["t,norm,omega,delta,epsilon_t,flops,events\n"]
+    for t in range(traj.steps):
+        names = ";".join(event_names(int(traj.events[t])))
+        rows.append(
+            f"{t},{traj.norm[t]:.12g},{traj.omega[t]:.12g},{traj.delta[t]:.12g},"
+            f"{traj.epsilon_t[t]:.12g},{traj.flops[t]:.12g},{names}\n")
+    return "".join(rows)
+
+
+def reference_agent_csv(traj, agent) -> str:
+    rows = ["t,norm,omega,delta,active\n"]
+    for t in range(traj.steps):
+        rows.append(
+            f"{t},{traj.norm[agent, t]:.12g},"
+            f"{traj.delta[agent, t] / traj.spec.delta:.12g},"
+            f"{traj.delta[agent, t]:.12g},{int(traj.active[agent, t])}\n")
+    return "".join(rows)
+
+
+def reference_collective_csv(traj) -> str:
+    rows = ["t,sum_delta,active_count\n"]
+    collective = traj.collective
+    counts = traj.active.sum(axis=0)
+    for t in range(traj.steps):
+        rows.append(f"{t},{collective[t]:.12g},{int(counts[t])}\n")
+    return "".join(rows)
+
+
+def reference_svg(series, threshold, title) -> str:
+    def scale(values, lo, hi, out_lo, out_hi):
+        span = hi - lo
+        if span <= 0.0:
+            span = 1.0
+        return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in values]
+
+    values = [float(v) for v in series] or [0.0]
+    lo = min(values + ([threshold] if threshold is not None else []))
+    hi = max(values + ([threshold] if threshold is not None else []))
+    lo = min(lo, 0.0)
+    xs = scale(range(len(values)), 0, max(len(values) - 1, 1), MARGIN, WIDTH - MARGIN)
+    ys = scale(values, lo, hi, HEIGHT - MARGIN, MARGIN)
+    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{WIDTH - MARGIN}" '
+        f'y2="{HEIGHT - MARGIN}" stroke="black"/>',
+        f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" '
+        f'y2="{HEIGHT - MARGIN}" stroke="black"/>',
+    ]
+    if threshold is not None:
+        ty = scale([threshold], lo, hi, HEIGHT - MARGIN, MARGIN)[0]
+        parts.append(
+            f'<line x1="{MARGIN}" y1="{ty:.2f}" x2="{WIDTH - MARGIN}" '
+            f'y2="{ty:.2f}" stroke="red" stroke-dasharray="6,4"/>')
+    if title:
+        parts.append(
+            f'<text x="{MARGIN}" y="{MARGIN - 16}" font-size="14">'
+            f'{escape(title)}</text>')
+    parts.append(
+        f'<polyline fill="none" stroke="steelblue" stroke-width="1.5" '
+        f'points="{points}"/>')
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+def written(method, *args) -> str:
+    out = io.StringIO()
+    method(*args, out)
+    return out.getvalue()
+
+
+# -- the formatter -----------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(floats, max_size=60), st.integers(0, 3), st.sampled_from(SPECS))
+def test_format_column_equals_format(values, repeats, spec):
+    a = np.array(values * (repeats + 1), dtype=np.float64)
+    assert format_column(a, spec) == [format(x, spec) for x in a.tolist()]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_format_column_keeps_zero_sign_and_nan_payloads(spec):
+    a = np.array([0.0, -0.0, 0.0, math.nan, -math.nan, math.inf, -0.0])
+    a[3:4].view(np.uint64)[0] |= 1  # a second NaN bit pattern
+    assert format_column(a, spec) == [format(x, spec) for x in a.tolist()]
+    assert format_column(np.array([], dtype=float), spec) == []
+
+
+# -- single-agent CSV --------------------------------------------------------
+
+def test_run_csv_matches_reference_across_blocks_and_events():
+    # Masked, crossing, windowed and budget-frozen steps, some of them
+    # together in one cell, over a horizon of more than two row blocks.
+    cfg = RunConfig(
+        channel=ChannelSpec(psi_kind=PsiKind.GATED, gamma_true=10.0, gain_lo=0,
+                            gain_hi=10, seed=7,
+                            mask_rate=power_law_mask(0.1, 0.4, 0.5)),
+        update=windowed(100, delta=1.0 / 3.0, drop_to=11.0),
+        gamma=50.0, initial_norm=11.0, horizon=20_000,
+        mode=Mode.ABSTRACT, budget=BudgetGate(max_flops=2e7))
+    traj = run(cfg)
+    assert traj.steps > 2 * BLOCK_ROWS
+    assert {1, 2, 4, 16, 17} <= set(traj.events.tolist())
+    assert written(traj.write_csv) == reference_run_csv(traj)
+
+
+def test_run_csv_empty_trajectory():
+    cfg = RunConfig(channel=ChannelSpec(mask_rate=constant_mask(0.0)),
+                    update=windowed(4), horizon=1)
+    empty = np.array([], dtype=float)
+    traj = Trajectory(config=cfg, seed=0, norm=empty, omega=empty, delta=empty,
+                      epsilon_t=empty, flops=empty,
+                      events=np.array([], dtype=np.uint16), final_norm=0.0)
+    assert written(traj.write_csv) == reference_run_csv(traj)
+
+
+# -- swarm CSVs --------------------------------------------------------------
+
+def _spec(**kwargs):
+    return SwarmSpec(k=3, beta=np.array([[0, 0.5, 0.25], [0.5, 0, 0.1], [0.3, 0.2, 0]]),
+                     lam=np.array([0.5, 0.7, 0.9]), base_gain=4.0, delta=0.3,
+                     gamma=100.0, **kwargs)
+
+
+def _empty_swarm(spec):
+    return SwarmTrajectory(spec=spec, seed=0, norm=np.zeros((spec.k, 1)),
+                           delta=np.zeros((spec.k, 0)),
+                           active=np.zeros((spec.k, 0), dtype=bool),
+                           solo_delta=np.zeros(0))
+
+
+@pytest.mark.parametrize("traj", [
+    run_swarm(_spec(schedule=Schedule.BERNOULLI_ASYNC), BLOCK_ROWS + 3, seed=4),
+    run_swarm(_spec(gain_mode=GainMode.RELAY), 40, seed=1),
+    run_swarm(_spec(), 25, seed=2),               # constant increments
+    _empty_swarm(_spec()),
+], ids=["async", "relay", "constant", "empty"])
+def test_swarm_csvs_match_reference(traj):
+    for agent in range(traj.spec.k):
+        assert (written(traj.write_agent_csv, agent)
+                == reference_agent_csv(traj, agent))
+    assert written(traj.write_collective_csv) == reference_collective_csv(traj)
+
+
+# -- SVG ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("series,threshold", [
+    ([], None),
+    ([], 5.0),
+    ([3.5] * 7, None),
+    ([3.5] * 7, 3.5),
+    (np.cumsum(np.linspace(0.1, 3.0, 2500)), 10.0),    # inside, several blocks
+    (np.cumsum(np.linspace(0.1, 3.0, 500)), 1e6),      # threshold above
+    (np.linspace(5.0, 9.0, 50), -2.0),                  # threshold below
+    ([-0.0, 1e-300, 2.5, -4.0, 1e300], 1.0),
+], ids=["empty", "empty-threshold", "constant", "constant-at-threshold",
+        "inside", "above", "below", "extremes"])
+def test_svg_matches_reference(series, threshold):
+    title = "drift <a&b> seed 1"
+    assert (svg_line_plot(series, threshold=threshold, title=title)
+            == reference_svg(series, threshold, title))
