@@ -473,6 +473,8 @@ def aggregate_reports(directory) -> dict:
     for path in sorted(directory.rglob("*.json")):
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(doc, dict):
+                raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
         except (OSError, ValueError) as exc:
             rows.append({"source": path.stem, "run": "-", "check": "readable_json", "status": FAIL,
                          "detail": {"file": str(path.relative_to(directory)), "error": str(exc)}})

@@ -2,9 +2,9 @@
 
 Each step draws self-referential noise, maps it to a meaning, scores the
 meaning with the configured gain measure, and folds it into the context under
-the configured update rule. Two execution modes share identical norm
-arithmetic: ABSTRACT keeps only the real-valued norm ledger (exact checks,
-no symbol materialisation), CONCRETE maintains the actual symbol sequence.
+the configured update rule. Two execution modes share one transition and one
+run loop: ABSTRACT keeps only the real-valued norm ledger (exact checks, no
+symbol materialisation), CONCRETE maintains the actual symbol sequence.
 """
 
 from __future__ import annotations
@@ -172,6 +172,7 @@ EVENT_CROSSED_GAMMA = 2
 EVENT_BURST_HIT_W = 4
 EVENT_FIXED_POINT = 8
 EVENT_BUDGET_FROZEN = 16
+EVENT_OVERFLOW = 32
 
 _EVENT_NAMES = (
     (EVENT_MASKED, "MASKED"),
@@ -179,6 +180,7 @@ _EVENT_NAMES = (
     (EVENT_BURST_HIT_W, "BURST_HIT_W"),
     (EVENT_FIXED_POINT, "FIXED_POINT"),
     (EVENT_BUDGET_FROZEN, "BUDGET_FROZEN"),
+    (EVENT_OVERFLOW, "OVERFLOW"),
 )
 
 
@@ -197,7 +199,7 @@ class StepRecord(NamedTuple):
 
 
 CSV_HEADER = "t,norm,omega,delta,epsilon_t,flops,events"
-_EVENT_TEXT = np.array([";".join(event_names(bits)) for bits in range(32)], dtype=object)
+_EVENT_TEXT = np.array([";".join(event_names(bits)) for bits in range(64)], dtype=object)
 
 
 @dataclass
@@ -275,83 +277,61 @@ def _budget_tripped(cfg: RunConfig, norm: float, cum_flops: float) -> bool:
     return False
 
 
-def _abstract_transition(entry_norm, t, cfg, masked, cum_flops):
-    """Returns (new_norm, omega, delta, event_bits)."""
+def _transition(norm, symbols, t, cfg, masked, cum_flops, prev_digest=None):
+    """Returns (new_norm, new_symbols, omega, delta, event_bits).
+
+    ABSTRACT passes ``symbols=None`` (and gets None back): the meaning is
+    reduced to its length. ``prev_digest`` short-circuits hashing the context
+    for the noise draw; callers may pass it only when the symbols cannot have
+    been truncated.
+    """
     rule = cfg.update
+    kind = rule.kind
     events = EVENT_MASKED if masked else 0
 
-    if _budget_tripped(cfg, entry_norm, cum_flops):
-        return entry_norm, 0.0, 0.0, events | EVENT_BUDGET_FROZEN
+    if _budget_tripped(cfg, norm, cum_flops):
+        return norm, symbols, 0.0, 0.0, events | EVENT_BUDGET_FROZEN
 
-    norm = entry_norm
-    if rule.kind is UpdateKind.WINDOWED and norm >= rule.window:
+    entry_norm = norm
+    if kind is UpdateKind.WINDOWED and norm >= rule.window:
         norm = float(rule.drop_to)
+        if symbols is not None:
+            keep = int(rule.drop_to)
+            symbols = symbols[len(symbols) - keep:] if keep else ""
+            prev_digest = None
 
-    mlen = 0 if masked else psi_output_length(cfg.channel, norm, t)
-    omega = cfg.measure.evaluate_length(mlen)
+    if symbols is None:
+        mlen = 0 if masked else psi_output_length(cfg.channel, norm, t)
+        omega = cfg.measure.evaluate_length(mlen)
+    else:
+        if prev_digest is None:
+            prev_digest = meaning_digest(symbols)
+        noise = noise_from_digest(prev_digest, t, cfg.channel)
+        m = apply_psi(noise, ContextState(Mode.CONCRETE, norm, symbols),
+                      cfg.channel, masked=masked)
+        mlen = len(m)
+        omega = cfg.measure.evaluate(m)
 
-    kind = rule.kind
     if kind is UpdateKind.OVERWRITE:
         new_norm = float(mlen)
     elif kind is UpdateKind.APPEND:
         new_norm = norm + mlen
-    elif kind is UpdateKind.DELTA_MONOTONE:
-        new_norm = norm + rule.delta * rule.gain_scale * omega
     elif kind is UpdateKind.SUBLINEAR:
         new_norm = norm + _sublinear(rule.h_kind, omega)
-    else:  # WINDOWED
+    else:  # DELTA_MONOTONE or WINDOWED
         new_norm = norm + rule.delta * rule.gain_scale * omega
-        if new_norm >= rule.window:
-            new_norm = float(rule.window)
-            events |= EVENT_BURST_HIT_W
-    return new_norm, omega, new_norm - entry_norm, events
-
-
-def _concrete_transition(entry_norm, entry_symbols, t, cfg, masked, cum_flops,
-                         prev_digest: bytes | None = None):
-    """Returns (new_norm, new_symbols, omega, delta, event_bits).
-
-    ``prev_digest`` short-circuits hashing the context for the noise draw;
-    callers may pass it only when the symbols cannot have been truncated.
-    """
-    rule = cfg.update
-    events = EVENT_MASKED if masked else 0
-
-    if _budget_tripped(cfg, entry_norm, cum_flops):
-        return entry_norm, entry_symbols, 0.0, 0.0, events | EVENT_BUDGET_FROZEN
-
-    norm, symbols = entry_norm, entry_symbols
-    if rule.kind is UpdateKind.WINDOWED and norm >= rule.window:
-        keep = int(rule.drop_to)
-        symbols = symbols[len(symbols) - keep:] if keep else ""
-        norm = float(rule.drop_to)
-        prev_digest = None
-
-    if prev_digest is None:
-        prev_digest = meaning_digest(symbols)
-    noise = noise_from_digest(prev_digest, t, cfg.channel)
-    state_view = ContextState(Mode.CONCRETE, norm, symbols)
-    m = apply_psi(noise, state_view, cfg.channel, masked=masked)
-    omega = cfg.measure.evaluate(m)
-
-    kind = rule.kind
-    if kind is UpdateKind.OVERWRITE:
-        new_symbols = m.symbols
-        new_norm = float(len(new_symbols))
-    elif kind is UpdateKind.APPEND:
-        new_symbols = symbols + m.symbols
-        new_norm = norm + len(m)
-    else:
-        if kind is UpdateKind.SUBLINEAR:
-            new_norm = norm + _sublinear(rule.h_kind, omega)
-        else:  # DELTA_MONOTONE or WINDOWED
-            new_norm = norm + rule.delta * rule.gain_scale * omega
         if kind is UpdateKind.WINDOWED and new_norm >= rule.window:
             new_norm = float(rule.window)
             events |= EVENT_BURST_HIT_W
-        grow = int(new_norm) - len(symbols)
-        new_symbols = symbols + tile(m.symbols, grow) if grow > 0 else symbols
-    return new_norm, new_symbols, omega, new_norm - entry_norm, events
+
+    if symbols is not None:
+        if kind is UpdateKind.OVERWRITE:
+            symbols = m.symbols
+        elif kind is UpdateKind.APPEND:
+            symbols += m.symbols
+        elif int(new_norm) > len(symbols):
+            symbols += tile(m.symbols, int(new_norm) - len(symbols))
+    return new_norm, symbols, omega, new_norm - entry_norm, events
 
 
 def step(state: ContextState, t: int, cfg: RunConfig,
@@ -364,51 +344,31 @@ def step(state: ContextState, t: int, cfg: RunConfig,
     masked = mask_fires(spec, t)
     eps_t = 0.0 if spec.mask_rate.is_zero else epsilon_at(max(t, 1), spec.mask_rate)
     flops = flops_at(state.norm, cfg.cost_model)
-
-    if cfg.mode is Mode.ABSTRACT:
-        new_norm, omega, delta, events = _abstract_transition(
-            state.norm, t, cfg, masked, cum_flops)
-        new_state = replace(state, norm=new_norm)
-    else:
-        new_norm, new_symbols, omega, delta, events = _concrete_transition(
-            state.norm, state.symbols, t, cfg, masked, cum_flops)
-        new_state = replace(state, norm=new_norm, symbols=new_symbols)
+    symbols = state.symbols if cfg.mode is Mode.CONCRETE else None
+    new_norm, new_symbols, omega, delta, events = _transition(
+        state.norm, symbols, t, cfg, masked, cum_flops)
+    new_state = replace(state, norm=new_norm, symbols=new_symbols or "")
     return new_state, StepRecord(
         t, state.norm, omega, delta, eps_t, flops, event_names(events))
-
-
-def _alloc(horizon: int):
-    return (
-        np.empty(horizon), np.empty(horizon), np.empty(horizon),
-        np.zeros(horizon), np.empty(horizon), np.zeros(horizon, dtype=np.uint16),
-    )
-
-
-def _mask_arrays(spec: ChannelSpec, horizon: int):
-    if spec.mask_rate.is_zero:
-        return None, None
-    eps_arr = epsilon_array(spec.mask_rate, horizon)
-    return eps_arr, mask_stream(spec, horizon) < eps_arr
 
 
 def run(cfg: RunConfig) -> Trajectory:
     """Iterate the recursion for the configured horizon.
 
-    Deterministic CONCRETE runs stop early once the state provably repeats
-    forever (the transition is then a fixed function of the state); the
-    truncated trajectory carries the fixed-point step.
+    A step whose new norm is not finite is flagged OVERFLOW and ends the run.
+    Deterministic CONCRETE runs also stop early once the state provably
+    repeats forever (the transition is then a fixed function of the state);
+    the truncated trajectory carries the fixed-point step.
     """
-    if cfg.mode is Mode.ABSTRACT:
-        return _run_abstract(cfg)
-    return _run_concrete(cfg)
-
-
-def _run_abstract(cfg: RunConfig) -> Trajectory:
     horizon = cfg.horizon
-    norm_a, omega_a, delta_a, eps_a, flops_a, events_a = _alloc(horizon)
-    eps_arr, masked_arr = _mask_arrays(cfg.channel, horizon)
-    if eps_arr is not None:
-        eps_a[:] = eps_arr
+    spec = cfg.channel
+    norm_a, omega_a, delta_a, flops_a = (np.empty(horizon) for _ in range(4))
+    events_a = np.zeros(horizon, dtype=np.uint16)
+    if spec.mask_rate.is_zero:
+        eps_a, masked_a = np.zeros(horizon), None
+    else:
+        eps_a = epsilon_array(spec.mask_rate, horizon)
+        masked_a = mask_stream(spec, horizon) < eps_a
 
     model = cfg.cost_model
     full_cost = model.variant is CostVariant.FULL
@@ -418,90 +378,57 @@ def _run_abstract(cfg: RunConfig) -> Trajectory:
     cum_flops = 0.0
     crossed = norm > gamma
 
+    concrete = cfg.mode is Mode.CONCRETE
+    symbols = cfg.initial_symbols if concrete else None
+    can_stop = concrete and cfg.stop_on_fixed_point and spec.deterministic
+    growing = concrete and cfg.update.kind in _GROWING
+    # Rolling context hash: valid while the symbol sequence only grows.
+    hasher = hashlib.blake2b(symbols.encode(), digest_size=8) if concrete else None
+    initial_digest = hasher.digest() if concrete else None
+    digests: list[bytes] | None = [] if concrete else None
+    fixed_point_step = None
+    steps = horizon
+
     for t in range(horizon):
-        masked = bool(masked_arr[t]) if masked_arr is not None else False
-        new_norm, omega, delta, events = _abstract_transition(
-            norm, t, cfg, masked, cum_flops)
+        masked = bool(masked_a[t]) if masked_a is not None else False
+        new_norm, new_symbols, omega, delta, events = _transition(
+            norm, symbols, t, cfg, masked, cum_flops,
+            hasher.digest() if growing else None)
         flops = (a_attn * norm * norm + a_ffn * norm) if full_cost else flops_at(norm, model)
         cum_flops += flops
         if not crossed and new_norm > gamma:
             events |= EVENT_CROSSED_GAMMA
             crossed = True
+        stop = not math.isfinite(new_norm)
+        if stop:
+            events |= EVENT_OVERFLOW
+        if concrete:
+            if can_stop and new_symbols == symbols and new_norm == norm:
+                events |= EVENT_FIXED_POINT
+                fixed_point_step = t
+                stop = True
+            if growing:
+                hasher.update(new_symbols[len(symbols):].encode())
+            else:
+                hasher = hashlib.blake2b(new_symbols.encode(), digest_size=8)
+            digests.append(hasher.digest())
         norm_a[t] = norm
         omega_a[t] = omega
         delta_a[t] = delta
         flops_a[t] = flops
         events_a[t] = events
-        norm = new_norm
-
-    return Trajectory(
-        config=cfg, seed=cfg.seed,
-        norm=norm_a, omega=omega_a, delta=delta_a, epsilon_t=eps_a,
-        flops=flops_a, events=events_a, final_norm=norm,
-    )
-
-
-def _run_concrete(cfg: RunConfig) -> Trajectory:
-    horizon = cfg.horizon
-    norm_a, omega_a, delta_a, eps_a, flops_a, events_a = _alloc(horizon)
-    eps_arr, masked_arr = _mask_arrays(cfg.channel, horizon)
-    if eps_arr is not None:
-        eps_a[:] = eps_arr
-
-    norm = float(cfg.initial_norm)
-    symbols = cfg.initial_symbols
-    model = cfg.cost_model
-    gamma = cfg.gamma
-    cum_flops = 0.0
-    crossed = norm > gamma
-    can_stop = cfg.stop_on_fixed_point and cfg.channel.deterministic
-    growing = cfg.update.kind in _GROWING
-
-    # Rolling context hash: valid while the symbol sequence only grows.
-    hasher = hashlib.blake2b(symbols.encode(), digest_size=8)
-    digests: list[bytes] = []
-    initial_digest = hasher.copy().digest()
-    fixed_point_step = None
-    steps_done = horizon
-
-    for t in range(horizon):
-        masked = bool(masked_arr[t]) if masked_arr is not None else False
-        prev_digest = hasher.copy().digest() if growing else None
-        new_norm, new_symbols, omega, delta, events = _concrete_transition(
-            norm, symbols, t, cfg, masked, cum_flops, prev_digest=prev_digest)
-        flops = flops_at(norm, model)
-        cum_flops += flops
-        if not crossed and new_norm > gamma:
-            events |= EVENT_CROSSED_GAMMA
-            crossed = True
-        repeated = can_stop and new_symbols == symbols and new_norm == norm
-        if repeated:
-            events |= EVENT_FIXED_POINT
-        if growing:
-            hasher.update(new_symbols[len(symbols):].encode())
-        else:
-            hasher = hashlib.blake2b(new_symbols.encode(), digest_size=8)
-        norm_a[t] = norm
-        omega_a[t] = omega
-        delta_a[t] = delta
-        flops_a[t] = flops
-        events_a[t] = events
-        digests.append(hasher.copy().digest())
         norm, symbols = new_norm, new_symbols
-        if repeated:
-            fixed_point_step = t
-            steps_done = t + 1
+        if stop:
+            steps = t + 1
             break
 
-    return Trajectory(
-        config=cfg, seed=cfg.seed,
-        norm=norm_a[:steps_done].copy(), omega=omega_a[:steps_done].copy(),
-        delta=delta_a[:steps_done].copy(), epsilon_t=eps_a[:steps_done].copy(),
-        flops=flops_a[:steps_done].copy(), events=events_a[:steps_done].copy(),
-        final_norm=norm, final_symbols=symbols,
-        digests=digests, initial_digest=initial_digest,
-        fixed_point_step=fixed_point_step,
-    )
+    columns = [norm_a, omega_a, delta_a, eps_a, flops_a, events_a]
+    if steps < horizon:
+        columns = [a[:steps].copy() for a in columns]
+    return Trajectory(cfg, cfg.seed, *columns, final_norm=norm,
+                      final_symbols=symbols, digests=digests,
+                      initial_digest=initial_digest,
+                      fixed_point_step=fixed_point_step)
 
 
 def detect_fixed_point(traj: Trajectory) -> int | None:

@@ -182,12 +182,9 @@ def run_swarm(spec: SwarmSpec, horizon: int, seed: int = 0) -> SwarmTrajectory:
     delta = np.zeros((k, horizon))
 
     if spec.gain_mode is GainMode.STATIC:
-        gain = spec.broadcast_gain()
-        increments_if_active = np.full(k, spec.delta * gain)
-        for t in range(horizon):
-            inc = np.where(active[t], increments_if_active, 0.0)
-            delta[:, t] = inc
-            norm[:, t + 1] = norm[:, t] + inc
+        # accumulate adds left to right, so this equals the per-tick sums.
+        delta[:] = np.where(active.T, spec.delta * spec.broadcast_gain(), 0.0)
+        np.cumsum(delta, axis=1, out=norm[:, 1:])
     else:
         one_plus = 1.0 + spec.beta
         np.fill_diagonal(one_plus, 0.0)

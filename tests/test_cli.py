@@ -131,6 +131,22 @@ class TestArtifacts:
         csv_b = (tmp_path / "b" / "tiny" / "base__seed1.csv").read_bytes()
         assert csv_a == csv_b
 
+    def test_runaway_norm_ends_in_a_flagged_truncated_run(self, tmp_path):
+        text = (MINIMAL.replace("GATED", "MIRROR")
+                .replace("delta = 1.0", "delta = 0.25")
+                .replace("initial_norm = 11", "initial_norm = 4")
+                .replace("horizon = 50", "horizon = 4000")
+                .replace("csv,json,svg", "csv,json")
+                .replace("checks = drift", "checks = bounded"))
+        summary = run_scenario(parse_scenarios(text)[0], tmp_path)
+        entry = summary["runs"][0]
+        assert entry["steps"] < 4000
+        assert entry["final_norm"] == float("inf")
+        rows = (tmp_path / "tiny" / "base__seed1.csv").read_text().splitlines()
+        assert len(rows) == entry["steps"] + 1
+        assert rows[-1].endswith(",OVERFLOW")
+        assert summary["failures"] == 1
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         text = MINIMAL + "sweep_gamma = 8,10\n"
         scenario = parse_scenarios(text)[0]
@@ -263,10 +279,12 @@ class TestCliVerbs:
         assert result.exit_code == 0
         assert "COUNTEREXAMPLE FOUND (documented)" in result.output
 
-    def test_report_fails_on_unreadable_summary(self, tmp_path):
+    @pytest.mark.parametrize("payload", ['{"runs": [', "5", "[]", '"x"', "null"],
+                             ids=["truncated", "number", "list", "string", "null"])
+    def test_report_fails_on_unreadable_summary(self, tmp_path, payload):
         CliRunner().invoke(main, ["run", "builtin", "--scenario", "drift",
                                   "--out", str(tmp_path)])
-        (tmp_path / "x.summary.json").write_text('{"runs": [', encoding="utf-8")
+        (tmp_path / "x.summary.json").write_text(payload, encoding="utf-8")
         result = CliRunner().invoke(main, ["report", str(tmp_path)])
         assert result.exit_code == 1
         assert "file=x.summary.json" in result.output

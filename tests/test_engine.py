@@ -6,10 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsim.channel import ChannelSpec, PsiKind, constant_mask, power_law_mask
-from loopsim.cost import CostModel
+from loopsim.cost import CostModel, CostVariant
 from loopsim.engine import (
+    EVENT_CROSSED_GAMMA,
+    EVENT_FIXED_POINT,
+    EVENT_OVERFLOW,
     AbstractModeError,
     BudgetGate,
     Mode,
@@ -19,6 +24,7 @@ from loopsim.engine import (
     UpdateRuleSpec,
     delta_monotone,
     detect_fixed_point,
+    event_names,
     run,
     step,
     windowed,
@@ -41,6 +47,81 @@ def abstract_gated(norm0, gamma, gamma_true, gain_lo, gain_hi, delta, horizon,
         measure=length_measure(),
         gamma=gamma, horizon=horizon, mode=Mode.ABSTRACT,
         initial_norm=norm0, **kwargs)
+
+
+COLUMNS = ("norm", "omega", "delta", "epsilon_t", "flops", "events")
+_BITS = {name: 1 << i for i, name in enumerate(event_names(63))}
+
+
+@st.composite
+def run_configs(draw):
+    """Small ABSTRACT and CONCRETE configs over every update kind."""
+    mode = draw(st.sampled_from(Mode))
+    psi = draw(st.sampled_from([PsiKind.GATED, PsiKind.MIRROR, PsiKind.IDENTITY,
+                                PsiKind.TAGGED_INJECTIVE]))
+    channel = ChannelSpec(
+        psi_kind=psi, temperature=draw(st.sampled_from([0.0, 1.0])),
+        mask_rate=draw(st.sampled_from([constant_mask(0.0), constant_mask(0.3),
+                                        power_law_mask(0.05, 0.5, 0.7)])),
+        noise_len=draw(st.integers(1, 8)), seed=draw(st.integers(0, 2**16)),
+        gamma_true=draw(st.floats(0.0, 20.0)), gain_lo=draw(st.integers(0, 3)),
+        gain_hi=draw(st.integers(4, 9)))
+    kind = draw(st.sampled_from(UpdateKind))
+    if kind is UpdateKind.WINDOWED:
+        rule = windowed(window=draw(st.integers(5, 60)),
+                        delta=draw(st.sampled_from([0.5, 1.0, 1.5])),
+                        drop_to=float(draw(st.integers(0, 4))))
+    elif kind is UpdateKind.DELTA_MONOTONE:
+        rule = delta_monotone(draw(st.sampled_from([0.25, 0.5, 1.0])))
+    else:
+        rule = UpdateRuleSpec(kind, h_kind=draw(st.sampled_from(SublinearKind)))
+    budget = draw(st.sampled_from([None, BudgetGate(max_norm=150.0),
+                                   BudgetGate(max_flops=2e5)]))
+    if mode is Mode.CONCRETE and psi is PsiKind.MIRROR and budget is None:
+        budget = BudgetGate(max_norm=150.0)  # MIRROR doubles the symbols
+    n0 = draw(st.integers(0, 12))
+    return RunConfig(
+        channel=channel, update=rule, gamma=draw(st.floats(1.0, 30.0)),
+        horizon=draw(st.integers(1, 200)), mode=mode, initial_norm=float(n0),
+        initial_symbols=draw(st.text("01", min_size=n0, max_size=n0))
+        if mode is Mode.CONCRETE else "",
+        budget=budget,
+        cost_model=draw(st.sampled_from(
+            [CostModel(), CostModel(variant=CostVariant.LOW_RANK, rank=4)])))
+
+
+def step_loop(cfg):
+    """Rows of `cfg` computed one `step` at a time, plus the final state.
+
+    The run-level flags are added the way `run` documents them: the first
+    step above gamma is CROSSED_GAMMA, a non-finite new norm is OVERFLOW and
+    ends the run, and so does a deterministic CONCRETE step that leaves the
+    state unchanged (FIXED_POINT).
+    """
+    state = cfg.initial_state()
+    can_stop = (cfg.mode is Mode.CONCRETE and cfg.stop_on_fixed_point
+                and cfg.channel.deterministic)
+    crossed = state.norm > cfg.gamma
+    cum_flops = 0.0
+    rows = []
+    for t in range(cfg.horizon):
+        new, record = step(state, t, cfg, cum_flops=cum_flops)
+        cum_flops += record.flops
+        bits = sum(_BITS[name] for name in record.events)
+        if not crossed and new.norm > cfg.gamma:
+            bits |= EVENT_CROSSED_GAMMA
+            crossed = True
+        stop = not math.isfinite(new.norm)
+        if stop:
+            bits |= EVENT_OVERFLOW
+        if can_stop and new == state:
+            bits |= EVENT_FIXED_POINT
+            stop = True
+        rows.append((*record[1:6], bits))
+        state = new
+        if stop:
+            break
+    return rows, state
 
 
 class TestStep:
@@ -79,24 +160,17 @@ class TestStep:
         assert state.norm == 25.0
         assert record.delta == 5.0
 
-    def test_step_matches_run_records(self):
-        cfg = RunConfig(
-            channel=ChannelSpec(psi_kind=PsiKind.GATED, gamma_true=5.0,
-                                gain_lo=1, gain_hi=4, noise_len=8, seed=77,
-                                mask_rate=constant_mask(0.3)),
-            update=delta_monotone(0.5),
-            mode=Mode.CONCRETE, gamma=5.0, horizon=40)
+    @settings(max_examples=200, deadline=None)
+    @given(run_configs())
+    def test_run_matches_step_loop(self, cfg):
         traj = run(cfg)
-        state = cfg.initial_state()
-        cum = 0.0
-        for t in range(cfg.horizon):
-            state, record = step(state, t, cfg, cum_flops=cum)
-            cum += record.flops
-            assert record.norm == traj.norm[t]
-            assert record.omega == traj.omega[t]
-            assert record.delta == traj.delta[t]
-            assert record.flops == traj.flops[t]
-        assert state.norm == traj.final_norm
+        rows, state = step_loop(cfg)
+        for name, want in zip(COLUMNS, zip(*rows)):
+            got = getattr(traj, name)
+            assert got.tobytes() == np.array(want, dtype=got.dtype).tobytes(), name
+        assert np.float64(traj.final_norm).tobytes() == np.float64(state.norm).tobytes()
+        if cfg.mode is Mode.CONCRETE:
+            assert traj.final_symbols == state.symbols
 
 
 class TestRun:
@@ -295,6 +369,22 @@ class TestGrowthRegimes:
         assert math.isfinite(traj.final_norm)
         assert traj.final_norm > 1000.0**2
         assert traj.final_norm > 1000.0**3
+
+    def test_runaway_norm_stops_flagged_overflow(self):
+        # 1.25x growth per step passes the largest float near step 3,200.
+        cfg = RunConfig(
+            channel=ChannelSpec(psi_kind=PsiKind.MIRROR, noise_len=8, seed=0),
+            update=delta_monotone(0.25), gamma=10.0, initial_norm=4.0,
+            horizon=4000, mode=Mode.ABSTRACT)
+        traj = run(cfg)
+        assert traj.steps < 4000
+        assert traj.final_norm == math.inf
+        assert np.all(np.isfinite(traj.norm))
+        overflow = (traj.events & EVENT_OVERFLOW) != 0
+        assert overflow[-1] and overflow.sum() == 1
+        out = io.StringIO()
+        traj.write_csv(out)
+        assert out.getvalue().splitlines()[-1].endswith(",OVERFLOW")
 
     def test_decaying_gain_growth_is_sublinear(self):
         from loopsim.engine.checks import sublinear_growth_report

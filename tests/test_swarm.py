@@ -65,6 +65,17 @@ class TestSwarmStep:
 
 
 class TestRunSwarm:
+    def test_static_norms_are_the_per_tick_sums(self):
+        # Increments that round: the prefix sum must match the tick loop bit
+        # for bit, not just to a tolerance.
+        spec = uniform_spec(k=3, beta=0.37, lam=0.6, base=0.1, delta=0.3,
+                            schedule=Schedule.BERNOULLI_ASYNC)
+        traj = run_swarm(spec, horizon=2000, seed=3)
+        norms = np.zeros(spec.k)
+        for t in range(2000):
+            norms = norms + traj.delta[:, t]
+            assert norms.tobytes() == traj.norm[:, t + 1].tobytes()
+
     def test_horizon_one(self):
         traj = run_swarm(uniform_spec(), horizon=1, seed=0)
         assert traj.delta.shape == (2, 1)
