@@ -467,7 +467,10 @@ def conjecture_experiment(scenario: Scenario) -> dict:
 
 
 def aggregate_reports(directory) -> dict:
-    """Fold every summary/audit JSON under a directory into one verdict table."""
+    """Fold every summary/audit JSON under a directory into one verdict table.
+
+    A file that cannot be read, parsed or understood is one FAIL row naming it.
+    """
     directory = Path(directory)
     rows = []
     for path in sorted(directory.rglob("*.json")):
@@ -475,39 +478,41 @@ def aggregate_reports(directory) -> dict:
             doc = json.loads(path.read_text(encoding="utf-8"))
             if not isinstance(doc, dict):
                 raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-        except (OSError, ValueError) as exc:
+            rows.extend(_document_rows(doc, path.stem))
+        except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
             rows.append({"source": path.stem, "run": "-", "check": "readable_json", "status": FAIL,
-                         "detail": {"file": str(path.relative_to(directory)), "error": str(exc)}})
-            continue
-        if "runs" in doc:
-            for entry in doc["runs"]:
-                for verdict in entry.get("checks", []):
-                    rows.append({
-                        "source": doc.get("scenario", path.stem),
-                        "run": f"{entry.get('label', '')}/seed{entry.get('seed')}",
-                        "check": verdict["name"],
-                        "status": verdict["status"],
-                        "detail": verdict.get("detail", {}),
-                    })
-        elif "verdicts" in doc:
-            for verdict in doc["verdicts"]:
-                rows.append({
-                    "source": doc.get("audit", path.stem),
-                    "run": "audit",
-                    "check": verdict["name"],
-                    "status": verdict["status"],
-                    "detail": verdict.get("detail", {}),
-                })
-        elif "slope" in doc:
-            rows.append({
-                "source": doc.get("scenario", path.stem),
-                "run": "conjecture",
-                "check": "conjecture_fit",
-                "status": INFO,
-                "detail": {"slope": doc["slope"], "r_squared": doc["r_squared"]},
-            })
+                         "detail": {"file": str(path.relative_to(directory)),
+                                    "error": f"{type(exc).__name__}: {exc}"}})
     failures = sum(1 for r in rows if r["status"] == FAIL)
     return {"rows": rows, "failures": failures, "passed": failures == 0 and bool(rows)}
+
+
+def _document_rows(doc: dict, stem: str) -> list[dict]:
+    """Verdict rows of one summary or audit document; raises on a malformed one."""
+    if "runs" in doc:
+        source = doc.get("scenario", stem)
+        return [_verdict_row(source, f"{entry.get('label', '')}/seed{entry.get('seed')}",
+                             verdict)
+                for entry in doc["runs"] for verdict in entry.get("checks", [])]
+    if "verdicts" in doc:
+        return [_verdict_row(doc.get("audit", stem), "audit", verdict)
+                for verdict in doc["verdicts"]]
+    if "slope" in doc:
+        return [_verdict_row(doc.get("scenario", stem), "conjecture", {
+            "name": "conjecture_fit", "status": INFO,
+            "detail": {"slope": doc["slope"], "r_squared": doc["r_squared"]}})]
+    return []
+
+
+def _verdict_row(source, run, verdict) -> dict:
+    """One report row; raises TypeError on a field `format_report` cannot print."""
+    row = {"source": source, "run": run, "check": verdict["name"],
+           "status": verdict["status"], "detail": verdict.get("detail", {})}
+    if not all(isinstance(row[key], str) for key in ("source", "check", "status")):
+        raise TypeError("source, check name and status must be strings")
+    if not isinstance(row["detail"], dict):
+        raise TypeError("verdict detail must be an object")
+    return row
 
 
 _MARGIN_KEYS = ("file", "min_margin", "mean_drift", "max_norm", "bursts", "bound",

@@ -61,6 +61,23 @@ def flops_at(norm: float, model: CostModel) -> float:
     return model.alpha_attn_r * effective_rank(norm, model) * norm + model.alpha_ffn * norm
 
 
+@np.errstate(over="ignore")  # inf, as flops_at's float arithmetic gives
+def flops_array(norms, model: CostModel) -> np.ndarray:
+    """flops_at over an array of nonnegative sizes, bit for bit.
+
+    LOG_RANK stays per point: np.log may differ from math.log in the last ulp
+    and move the rank's ceil.
+    """
+    x = np.asarray(norms, dtype=float)
+    if model.variant is CostVariant.LOG_RANK:
+        return np.array([flops_at(n, model) for n in x.tolist()], dtype=float)
+    if model.variant is CostVariant.FULL:
+        f = model.alpha_attn * x * x + model.alpha_ffn * x
+    else:
+        f = model.alpha_attn_r * model.rank * x + model.alpha_ffn * x
+    return np.where(x == 0.0, 0.0, f)
+
+
 def validate_log_rank(model: CostModel, delta: float, eps: float, gamma: float) -> None:
     """Config-time check for the polynomial-compute regime: c < delta*(1-eps)/gamma."""
     if model.variant is not CostVariant.LOG_RANK:
@@ -137,7 +154,7 @@ def cumulative_compute(
     0 for frozen or capped runs.
     """
     series = np.asarray(getattr(norms, "norms", norms), dtype=float)
-    inst = np.array([flops_at(max(n, 0.0), model) for n in series])
+    inst = flops_array(np.maximum(series, 0.0), model)
     cum = np.cumsum(inst)
 
     lo, hi = fit_window

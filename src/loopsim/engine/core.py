@@ -2,9 +2,10 @@
 
 Each step draws self-referential noise, maps it to a meaning, scores the
 meaning with the configured gain measure, and folds it into the context under
-the configured update rule. Two execution modes share one transition and one
-run loop: ABSTRACT keeps only the real-valued norm ledger (exact checks, no
-symbol materialisation), CONCRETE maintains the actual symbol sequence.
+the configured update rule. Two execution modes share one transition:
+ABSTRACT keeps only the real-valued norm ledger (exact checks, no symbol
+materialisation), CONCRETE maintains the actual symbol sequence. `run` takes
+most ABSTRACT runs in vectorised segments and the rest one step at a time.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from enum import Enum
 from typing import NamedTuple, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..channel import (
     ChannelSpec,
+    PsiKind,
     apply_psi,
     epsilon_array,
     epsilon_at,
@@ -30,7 +33,7 @@ from ..channel import (
     tile,
 )
 from ..columns import write_csv
-from ..cost import CostModel, CostVariant, flops_at
+from ..cost import CostModel, CostVariant, flops_array, flops_at
 from ..measures import MeasureSpec, length_measure
 
 
@@ -266,6 +269,20 @@ def _sublinear(h_kind: SublinearKind, x: float) -> float:
     return math.log1p(x)
 
 
+def _increment(rule: UpdateRuleSpec, mlen: int, omega: float) -> float:
+    """What a meaning of length ``mlen`` and gain ``omega`` adds to the norm.
+
+    Defined for every rule but OVERWRITE, whose new norm is ``float(mlen)``.
+    WINDOWED's cap is applied by the caller.
+    """
+    kind = rule.kind
+    if kind is UpdateKind.APPEND:
+        return float(mlen)
+    if kind is UpdateKind.SUBLINEAR:
+        return _sublinear(rule.h_kind, omega)
+    return rule.delta * rule.gain_scale * omega  # DELTA_MONOTONE or WINDOWED
+
+
 def _budget_tripped(cfg: RunConfig, norm: float, cum_flops: float) -> bool:
     gate = cfg.budget
     if gate is None:
@@ -314,12 +331,8 @@ def _transition(norm, symbols, t, cfg, masked, cum_flops, prev_digest=None):
 
     if kind is UpdateKind.OVERWRITE:
         new_norm = float(mlen)
-    elif kind is UpdateKind.APPEND:
-        new_norm = norm + mlen
-    elif kind is UpdateKind.SUBLINEAR:
-        new_norm = norm + _sublinear(rule.h_kind, omega)
-    else:  # DELTA_MONOTONE or WINDOWED
-        new_norm = norm + rule.delta * rule.gain_scale * omega
+    else:
+        new_norm = norm + _increment(rule, mlen, omega)
         if kind is UpdateKind.WINDOWED and new_norm >= rule.window:
             new_norm = float(rule.window)
             events |= EVENT_BURST_HIT_W
@@ -352,6 +365,17 @@ def step(state: ContextState, t: int, cfg: RunConfig,
         t, state.norm, omega, delta, eps_t, flops, event_names(events))
 
 
+# ψ kinds whose meaning length depends on the norm at most through GATED's
+# gate; ABSTRACT runs over them take the segment path.
+_SEGMENT_PSI = (PsiKind.IDENTITY, PsiKind.TAGGED_INJECTIVE, PsiKind.CONSTANT,
+                PsiKind.GATED)
+# Segment chunks start at 64 steps and double up to 4,096; a WINDOWED burst
+# table holds at most 2**17 float64 cells (1 MiB). A run whose segments
+# average under 16 steps goes on one step at a time: a segment costs about
+# as much as ten steps of the per-step loop.
+_CHUNK_MIN, _CHUNK_MAX, _TABLE_CELLS, _SHORT_SEGMENT = 64, 4096, 1 << 17, 16
+
+
 def run(cfg: RunConfig) -> Trajectory:
     """Iterate the recursion for the configured horizon.
 
@@ -359,6 +383,10 @@ def run(cfg: RunConfig) -> Trajectory:
     Deterministic CONCRETE runs also stop early once the state provably
     repeats forever (the transition is then a fixed function of the state);
     the truncated trajectory carries the fixed-point step.
+
+    ABSTRACT runs over IDENTITY, TAGGED_INJECTIVE, CONSTANT and GATED take
+    the segment path; every other run takes one `_transition` per step. Both
+    give the bits a plain `step` loop gives.
     """
     horizon = cfg.horizon
     spec = cfg.channel
@@ -369,14 +397,33 @@ def run(cfg: RunConfig) -> Trajectory:
     else:
         eps_a = epsilon_array(spec.mask_rate, horizon)
         masked_a = mask_stream(spec, horizon) < eps_a
+    columns = [norm_a, omega_a, delta_a, eps_a, flops_a, events_a]
 
+    if cfg.mode is Mode.ABSTRACT and spec.psi_kind in _SEGMENT_PSI:
+        steps, norm = _run_segments(cfg, masked_a, columns)
+        extra = {}
+    else:
+        steps, norm, extra = _run_steps(cfg, masked_a, columns)
+    if steps < horizon:
+        columns = [a[:steps].copy() for a in columns]
+    return Trajectory(cfg, cfg.seed, *columns, final_norm=norm, **extra)
+
+
+def _run_steps(cfg, masked_a, columns, start=None):
+    """The per-step path: one `_transition` per step.
+
+    ``start`` = (t, norm, cum_flops, crossed) resumes an ABSTRACT run the
+    segment path began. Returns (steps, final norm, the CONCRETE fields of
+    the Trajectory).
+    """
+    norm_a, omega_a, delta_a, _, flops_a, events_a = columns
+    spec = cfg.channel
     model = cfg.cost_model
     full_cost = model.variant is CostVariant.FULL
     a_attn, a_ffn = model.alpha_attn, model.alpha_ffn
     gamma = cfg.gamma
-    norm = float(cfg.initial_norm)
-    cum_flops = 0.0
-    crossed = norm > gamma
+    t0, norm, cum_flops, crossed = start or (
+        0, float(cfg.initial_norm), 0.0, cfg.initial_norm > gamma)
 
     concrete = cfg.mode is Mode.CONCRETE
     symbols = cfg.initial_symbols if concrete else None
@@ -387,9 +434,9 @@ def run(cfg: RunConfig) -> Trajectory:
     initial_digest = hasher.digest() if concrete else None
     digests: list[bytes] | None = [] if concrete else None
     fixed_point_step = None
-    steps = horizon
+    steps = cfg.horizon
 
-    for t in range(horizon):
+    for t in range(t0, cfg.horizon):
         masked = bool(masked_a[t]) if masked_a is not None else False
         new_norm, new_symbols, omega, delta, events = _transition(
             norm, symbols, t, cfg, masked, cum_flops,
@@ -421,14 +468,147 @@ def run(cfg: RunConfig) -> Trajectory:
         if stop:
             steps = t + 1
             break
+    return steps, norm, {"final_symbols": symbols, "digests": digests,
+                         "initial_digest": initial_digest,
+                         "fixed_point_step": fixed_point_step}
 
-    columns = [norm_a, omega_a, delta_a, eps_a, flops_a, events_a]
-    if steps < horizon:
-        columns = [a[:steps].copy() for a in columns]
-    return Trajectory(cfg, cfg.seed, *columns, final_norm=norm,
-                      final_symbols=symbols, digests=digests,
-                      initial_digest=initial_digest,
-                      fixed_point_step=fixed_point_step)
+
+@np.errstate(over="ignore")  # an overflow is flagged, as in the float loop
+def _run_segments(cfg, masked_a, columns):
+    """The segment path: an ABSTRACT run in stretches of one regime.
+
+    Inside a segment the budget gate stays shut and the norm stays on one
+    side of GATED's ``gamma_true``, so every meaning is empty (masked) or
+    has one length L, and gain and increment take one of two values each.
+    The norms are then a cumsum, which numpy accumulates left to right as
+    the step loop adds. A segment ends after the last step of its regime;
+    a non-finite norm ends the run (OVERFLOW), and an open budget gate
+    freezes the rest of it. Returns (steps, final norm).
+    """
+    norm_a, omega_a, delta_a, _, flops_a, events_a = columns
+    horizon, spec, rule, gate = cfg.horizon, cfg.channel, cfg.update, cfg.budget
+    model, gamma = cfg.cost_model, cfg.gamma
+    windowed = rule.kind is UpdateKind.WINDOWED
+    gated = spec.psi_kind is PsiKind.GATED
+    max_norm = math.inf if gate is None or gate.max_norm is None else gate.max_norm
+    max_flops = math.inf if gate is None or gate.max_flops is None else gate.max_flops
+    omega_0 = cfg.measure.evaluate_length(0)
+    norm = float(cfg.initial_norm)
+    cum_flops, crossed = 0.0, norm > gamma
+    t, chunk, segments = 0, _CHUNK_MIN, 0
+
+    while t < horizon:
+        if segments > 8 and t < _SHORT_SEGMENT * segments:
+            # The regime switches every few steps (an OVERWRITE gate flipping
+            # on every mask, a gate inside each WINDOWED burst): one step
+            # costs less than the numpy calls of a segment.
+            return _run_steps(cfg, masked_a, columns, (t, norm, cum_flops, crossed))[:2]
+        segments += 1
+        if _budget_tripped(cfg, norm, cum_flops):
+            # The gate never reopens: the norm and the cost stay put.
+            rest = slice(t, horizon)
+            norm_a[rest], omega_a[rest], delta_a[rest] = norm, 0.0, 0.0
+            flops_a[rest] = flops_array([norm], model)[0]
+            events_a[rest] = EVENT_BUDGET_FROZEN
+            if masked_a is not None:
+                events_a[rest] |= masked_a[rest]  # EVENT_MASKED is bit 1
+            return horizon, norm
+        x0 = float(rule.drop_to) if windowed and norm >= rule.window else norm
+        mlen = psi_output_length(spec, x0, t)
+        omega_l = cfg.measure.evaluate_length(mlen)
+        c = min(chunk, horizon - t)
+        m = masked_a[t:t + c] if masked_a is not None else np.zeros(c, dtype=bool)
+        hit_w = None
+        # x: the norm each step adds to (after WINDOWED's drop); entry: the
+        # norm before the step; new: the norm after it.
+        if rule.kind is UpdateKind.OVERWRITE:
+            new = np.where(m, 0.0, float(mlen))
+            entry = x = np.concatenate(([norm], new[:-1]))
+        else:
+            inc = np.where(m, _increment(rule, 0, omega_0), _increment(rule, mlen, omega_l))
+            if windowed:
+                entry, x, new, hit_w = _bursts(norm, x0, inc, rule)
+            else:
+                path = np.cumsum(np.concatenate(([norm], inc)))
+                entry = x = path[:-1]
+                new = path[1:]
+        flops = flops_array(entry, model)
+        cum = np.cumsum(np.concatenate(([cum_flops], flops)))
+
+        # Cut before the first step in another regime, after the first
+        # non-finite norm.
+        change = (entry > max_norm) | (cum[:-1] > max_flops)
+        if gated:
+            change |= (x <= spec.gamma_true) != (x0 <= spec.gamma_true)
+        n = int(change.argmax()) if change.any() else len(new)
+        overflow = ~np.isfinite(new[:n])
+        stop = bool(overflow.any())
+        if stop:
+            n = int(overflow.argmax()) + 1
+
+        events = m[:n].astype(np.uint16)
+        if hit_w is not None:
+            events[hit_w[:n]] |= EVENT_BURST_HIT_W
+        if not crossed:
+            above = new[:n] > gamma
+            if above.any():
+                events[above.argmax()] |= EVENT_CROSSED_GAMMA
+                crossed = True
+        if stop:
+            events[n - 1] |= EVENT_OVERFLOW
+        span = slice(t, t + n)
+        norm_a[span] = entry[:n]
+        omega_a[span] = np.where(m[:n], omega_0, omega_l)
+        delta_a[span] = new[:n] - entry[:n]
+        flops_a[span] = flops[:n]
+        events_a[span] = events
+        norm, cum_flops, t = float(new[n - 1]), float(cum[n]), t + n
+        if stop:
+            return t, norm
+        chunk = min(max(2 * n, _CHUNK_MIN), _CHUNK_MAX)
+    return horizon, norm
+
+
+def _bursts(norm, x0, inc, rule):
+    """WINDOWED steps over a chunk of increments, one burst after another.
+
+    Row s of the burst table is a burst that starts at step s: ``drop_to``
+    (``x0`` for s = 0) followed by the increments from step s on, summed
+    along the row, so each entry is the step loop's own left-to-right sum. A
+    burst ends at its first entry at or above the window, and the next one
+    starts a step later. Rows are about twice the mean burst long, and a
+    burst that outlasts its row ends the chunk there. When a burst is
+    expected to outlast the chunk, the table is the one row from ``x0`` and
+    the chunk ends at its first cap hit. Returns (entry, x, new, hit_w) for
+    the steps covered, as in `_run_segments`.
+    """
+    window, drop_to = float(rule.window), float(rule.drop_to)
+    c = len(inc)
+    rate = float(inc.mean())
+    width = c if rate <= 0.0 else int(min(c, 2.0 * (window - drop_to) / rate + 8.0))
+    if width < c:
+        c = min(c, _TABLE_CELLS // (width + 1))
+        starts = np.full(c, drop_to)
+        starts[0] = x0
+        tail = sliding_window_view(np.concatenate((inc[:c], np.zeros(width - 1))), width)
+        rows = np.cumsum(np.column_stack((starts, tail)), axis=1)
+    else:
+        width = c
+        rows = np.cumsum(np.concatenate(([x0], inc)))[None]
+    hit = rows[:, 1:] >= window
+    ends = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, 0).tolist()
+    first, s = [0], 0
+    while ends[s] and s + ends[s] < len(ends):
+        s += ends[s]
+        first.append(s)
+    n = s + ends[s] if ends[s] else min(s + width, c)
+    burst = np.repeat(first, np.diff(first + [n]))
+    offset = np.arange(n) - burst
+    x = rows[burst, offset]
+    raw = rows[burst, offset + 1]
+    hit_w = raw >= window
+    new = np.where(hit_w, window, raw)
+    return np.concatenate(([norm], new[:-1])), x, new, hit_w
 
 
 def detect_fixed_point(traj: Trajectory) -> int | None:

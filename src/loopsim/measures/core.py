@@ -209,7 +209,10 @@ class MeasureSpec:
         if self.kind is MeasureKind.POWER_LAW:
             if self.exponent <= 1.0:
                 raise ValueError("power-law exponent must exceed 1")
-            return float(n) ** self.exponent
+            try:
+                return float(n) ** self.exponent
+            except OverflowError:  # past the largest float: the run flags OVERFLOW
+                return math.inf
         if self.kind is MeasureKind.LINEAR_COMBO:
             a, s1, b, s2 = self.combo
             return a * s1.evaluate_length(n) + b * s2.evaluate_length(n)

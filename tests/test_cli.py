@@ -131,8 +131,9 @@ class TestArtifacts:
         csv_b = (tmp_path / "b" / "tiny" / "base__seed1.csv").read_bytes()
         assert csv_a == csv_b
 
-    def test_runaway_norm_ends_in_a_flagged_truncated_run(self, tmp_path):
+    def assert_runaway_truncated(self, tmp_path, measure_lines=""):
         text = (MINIMAL.replace("GATED", "MIRROR")
+                .replace("update_kind", measure_lines + "update_kind")
                 .replace("delta = 1.0", "delta = 0.25")
                 .replace("initial_norm = 11", "initial_norm = 4")
                 .replace("horizon = 50", "horizon = 4000")
@@ -146,6 +147,13 @@ class TestArtifacts:
         assert len(rows) == entry["steps"] + 1
         assert rows[-1].endswith(",OVERFLOW")
         assert summary["failures"] == 1
+
+    def test_runaway_norm_ends_in_a_flagged_truncated_run(self, tmp_path):
+        self.assert_runaway_truncated(tmp_path)
+
+    def test_power_law_gain_overflow_ends_in_a_flagged_truncated_run(self, tmp_path):
+        self.assert_runaway_truncated(
+            tmp_path, "measure_kind = POWER_LAW\nbeta_pow = 2.0\n")
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         text = MINIMAL + "sweep_gamma = 8,10\n"
@@ -279,8 +287,12 @@ class TestCliVerbs:
         assert result.exit_code == 0
         assert "COUNTEREXAMPLE FOUND (documented)" in result.output
 
-    @pytest.mark.parametrize("payload", ['{"runs": [', "5", "[]", '"x"', "null"],
-                             ids=["truncated", "number", "list", "string", "null"])
+    @pytest.mark.parametrize(
+        "payload",
+        ['{"runs": [', "5", "[]", '"x"', "null", '{"runs": 5}',
+         '{"runs": [{"checks": [{"status": "FAIL"}]}]}'],
+        ids=["truncated", "number", "list", "string", "null", "runs_number",
+             "nameless_check"])
     def test_report_fails_on_unreadable_summary(self, tmp_path, payload):
         CliRunner().invoke(main, ["run", "builtin", "--scenario", "drift",
                                   "--out", str(tmp_path)])

@@ -9,6 +9,7 @@ from loopsim.cost import (
     CostVariant,
     check_quadratic_bound,
     cumulative_compute,
+    flops_array,
     flops_at,
     validate_log_rank,
 )
@@ -116,6 +117,25 @@ class TestCumulativeCompute:
         traj = linear_norm_run(horizon=2_000)
         final_step_cost = flops_at(float(traj.norms[-2]), FULL)
         assert cumulative_compute(traj, FULL).cumulative[-1] >= final_step_cost
+
+
+    @pytest.mark.parametrize("model", [
+        FULL, LOW_RANK, CostModel(alpha_attn=0.3, alpha_ffn=1e-3),
+        CostModel(variant=CostVariant.LOG_RANK, log_coeff=0.7)],
+        ids=["full", "low_rank", "full_small", "log_rank"])
+    def test_vectorised_flops_equal_flops_at_per_point(self, model):
+        rng = np.random.default_rng(3)
+        series = np.concatenate((
+            [0.0, -0.0, -1.0, -1e300, 1.0, 1e-320, 1e154, 1e300],
+            rng.normal(0.0, 50.0, 500), rng.uniform(0.0, 1e6, 500) / 3.0))
+        with np.errstate(over="ignore"):
+            want = np.array([flops_at(max(n, 0.0), model) for n in series])
+        got = cumulative_compute(series, model).instantaneous
+        assert got.tobytes() == want.tobytes()
+        sizes = np.where(series < 0.0, 0.0, series)  # keeps -0.0
+        with np.errstate(over="ignore"):
+            want = np.array([flops_at(n, model) for n in sizes])
+        assert flops_array(sizes, model).tobytes() == want.tobytes()
 
 
 class TestLogRank:

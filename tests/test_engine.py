@@ -29,7 +29,7 @@ from loopsim.engine import (
     step,
     windowed,
 )
-from loopsim.measures import length_measure, power_measure
+from loopsim.measures import combine_measures, length_measure, power_measure
 
 
 def gated_channel(gamma_true, gain_lo, gain_hi, seed=0, eps=0.0, temperature=1.0):
@@ -124,6 +124,62 @@ def step_loop(cfg):
     return rows, state
 
 
+@st.composite
+def long_abstract_configs(draw, variant):
+    """A `run_configs` draw recast as an ABSTRACT run of 3,000 to 12,000 steps.
+
+    Such runs cross the segment path's chunk cap. ``variant`` adds one
+    feature the short configs lack: CONSTANT or DECAYING ψ, a POWER_LAW or
+    combined measure, masked WINDOWED bursts, an OVERWRITE GATED run that
+    drops below ``gamma_true`` on every masked step and climbs back on the
+    next, or a ``max_flops`` gate that trips at a drawn step.
+    """
+    cfg = draw(run_configs())
+    cfg = dataclasses.replace(cfg, mode=Mode.ABSTRACT, initial_symbols="",
+                              horizon=draw(st.integers(3_000, 12_000)))
+    masks = st.sampled_from([constant_mask(0.3), power_law_mask(0.05, 0.5, 0.7)])
+    if variant == "psi":
+        channel = dataclasses.replace(
+            cfg.channel, psi_kind=draw(st.sampled_from([PsiKind.CONSTANT, PsiKind.DECAYING])),
+            const_meaning=draw(st.text("01", min_size=1, max_size=6)),
+            decay_len=draw(st.floats(1.0, 1e4)))
+        cfg = dataclasses.replace(cfg, channel=channel)
+    elif variant == "measure":
+        cfg = dataclasses.replace(cfg, measure=draw(st.sampled_from([
+            power_measure(1.5), power_measure(2.0),
+            combine_measures(0.5, length_measure(), 2.0, power_measure(1.5))])))
+    elif variant == "windowed":
+        cfg = dataclasses.replace(
+            cfg, channel=dataclasses.replace(cfg.channel, mask_rate=draw(masks)),
+            update=windowed(window=draw(st.integers(5, 60)),
+                            delta=draw(st.sampled_from([0.5, 1.0, 1.5])),
+                            drop_to=float(draw(st.integers(0, 4)))))
+    elif variant == "oscillating":
+        gain_lo = draw(st.integers(1, 3))
+        channel = dataclasses.replace(
+            cfg.channel, psi_kind=PsiKind.GATED, mask_rate=draw(masks),
+            gain_lo=gain_lo, gamma_true=draw(st.floats(0.0, gain_lo - 0.5)))
+        cfg = dataclasses.replace(cfg, channel=channel,
+                                  update=UpdateRuleSpec(UpdateKind.OVERWRITE))
+    elif variant == "max_flops":
+        free = run(dataclasses.replace(cfg, budget=None))
+        with np.errstate(over="ignore"):
+            spent = np.cumsum(free.flops)[draw(st.integers(0, free.steps - 1))]
+        cfg = dataclasses.replace(cfg, budget=BudgetGate(max_flops=float(spent)))
+    return cfg
+
+
+def assert_run_matches_step_loop(cfg):
+    traj = run(cfg)
+    rows, state = step_loop(cfg)
+    for name, want in zip(COLUMNS, zip(*rows)):
+        got = getattr(traj, name)
+        assert got.tobytes() == np.array(want, dtype=got.dtype).tobytes(), name
+    assert np.float64(traj.final_norm).tobytes() == np.float64(state.norm).tobytes()
+    if cfg.mode is Mode.CONCRETE:
+        assert traj.final_symbols == state.symbols
+
+
 class TestStep:
     def test_one_bit_self_copy(self):
         # Identity channel + overwrite on a 1-bit context: the new context is
@@ -163,14 +219,16 @@ class TestStep:
     @settings(max_examples=200, deadline=None)
     @given(run_configs())
     def test_run_matches_step_loop(self, cfg):
-        traj = run(cfg)
-        rows, state = step_loop(cfg)
-        for name, want in zip(COLUMNS, zip(*rows)):
-            got = getattr(traj, name)
-            assert got.tobytes() == np.array(want, dtype=got.dtype).tobytes(), name
-        assert np.float64(traj.final_norm).tobytes() == np.float64(state.norm).tobytes()
-        if cfg.mode is Mode.CONCRETE:
-            assert traj.final_symbols == state.symbols
+        assert_run_matches_step_loop(cfg)
+
+    @pytest.mark.parametrize("variant", ["psi", "measure", "windowed",
+                                         "oscillating", "max_flops"])
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_long_abstract_run_matches_step_loop(self, variant, data):
+        # The segment path (and, for MIRROR and DECAYING, the per-step path)
+        # over horizons past its 4,096-step chunk cap.
+        assert_run_matches_step_loop(data.draw(long_abstract_configs(variant)))
 
 
 class TestRun:
@@ -370,21 +428,30 @@ class TestGrowthRegimes:
         assert traj.final_norm > 1000.0**2
         assert traj.final_norm > 1000.0**3
 
-    def test_runaway_norm_stops_flagged_overflow(self):
-        # 1.25x growth per step passes the largest float near step 3,200.
+    def runaway(self, measure):
+        """MIRROR growth of 1.25x per step, or more under a POWER_LAW gain."""
         cfg = RunConfig(
             channel=ChannelSpec(psi_kind=PsiKind.MIRROR, noise_len=8, seed=0),
-            update=delta_monotone(0.25), gamma=10.0, initial_norm=4.0,
-            horizon=4000, mode=Mode.ABSTRACT)
+            update=delta_monotone(0.25), measure=measure, gamma=10.0,
+            initial_norm=4.0, horizon=4000, mode=Mode.ABSTRACT)
         traj = run(cfg)
         assert traj.steps < 4000
         assert traj.final_norm == math.inf
         assert np.all(np.isfinite(traj.norm))
         overflow = (traj.events & EVENT_OVERFLOW) != 0
         assert overflow[-1] and overflow.sum() == 1
+        return traj
+
+    def test_runaway_norm_stops_flagged_overflow(self):
+        # 1.25x growth per step passes the largest float near step 3,200.
         out = io.StringIO()
-        traj.write_csv(out)
+        self.runaway(length_measure()).write_csv(out)
         assert out.getvalue().splitlines()[-1].endswith(",OVERFLOW")
+
+    def test_power_law_gain_overflow_stops_flagged_overflow(self):
+        # The squared gain of a meaning as long as the context passes the
+        # largest float before the norm does.
+        self.runaway(power_measure(2.0))
 
     def test_decaying_gain_growth_is_sublinear(self):
         from loopsim.engine.checks import sublinear_growth_report
