@@ -5,48 +5,64 @@ of [scenario:<name>] sections. Every option is a scalar string; matrices are
 written row by row with ';' between rows, lists with ','. Any scalar option
 can be swept by adding sweep_<option> = v1,v2,...; a run is executed per
 sweep-grid point per seed.
+
+A field a scenario leaves out takes the default of the spec class (or
+measure factory) it belongs to, or, for the fields only the runner reads,
+the default in the runner's table for the scenario's kind. Every field is
+parsed, and every spec built, when the file is loaded.
 """
 
 from __future__ import annotations
 
 import configparser
-import dataclasses
 from dataclasses import dataclass
+from enum import Enum
+from functools import cache
 from itertools import product
-from typing import Iterator
+from types import NoneType
+from typing import Iterator, get_args, get_type_hints
 
 import numpy as np
 
-from ..channel import (
-    ChannelSpec,
-    EpsilonSchedule,
-    PsiKind,
-    ScheduleKind,
-)
-from ..cost import CostModel, CostVariant
-from ..engine import (
-    BudgetGate,
-    Mode,
-    RunConfig,
-    SublinearKind,
-    UpdateKind,
-    UpdateRuleSpec,
-)
+from ..channel import ChannelSpec, EpsilonSchedule
+from ..cost import CostModel
+from ..engine import BudgetGate, RunConfig, UpdateRuleSpec
 from ..measures import (
+    MeasureKind,
     MeasureSpec,
     compression_gain_measure,
     fisher_measure,
     length_measure,
     power_measure,
 )
-from ..swarm import GainMode, Schedule, SwarmSpec
+from ..swarm import SwarmSpec
 
 SCHEMA_VERSION = 1
 
 VALID_OUTPUTS = ("csv", "json", "svg")
-RUN_CHECKS = ("drift", "bounded", "bursts", "fixed_point", "cost_slope",
-              "time_bound", "sublinear_growth")
-SWARM_CHECKS = ("collective_gain", "divergence")
+
+# The scenario keys each spec reads. A key is the name of the spec's field,
+# except where _RENAMED gives the field: there two specs share a field name.
+_CHANNEL = ("psi_kind", "temperature", "noise_len", "seed", "const_meaning",
+            "gamma_true", "gain_lo", "gain_hi", "decay_len", "decay_power")
+_MASK = ("eps0", "kappa", "alpha_decay", "mask_kind")
+_UPDATE = ("update_kind", "delta", "c1", "c2", "gain_scale", "h_kind", "window",
+           "drop_to")
+_COST = ("alpha_attn", "alpha_ffn", "cost_variant", "rank", "alpha_attn_r",
+         "log_coeff")
+_BUDGET = ("max_flops", "max_norm")
+_RUN = ("gamma", "horizon", "mode", "initial_norm", "initial_symbols")
+_SWARM = ("k", "schedule", "base_gain", "delta", "gamma", "gain_mode")
+_RENAMED = {"mask_kind": "kind", "update_kind": "kind", "cost_variant": "variant",
+            "beta_pow": "exponent"}
+
+# The measure kinds a scenario can name: factory and the keys it reads.
+_MEASURES = {
+    MeasureKind.LENGTH: (length_measure, ()),
+    MeasureKind.COMPRESSION_GAIN: (compression_gain_measure, ()),
+    MeasureKind.POWER_LAW: (power_measure, ("beta_pow",)),
+    MeasureKind.FISHER: (fisher_measure, ("theta0",)),
+}
 
 
 class ScenarioParseError(ValueError):
@@ -62,7 +78,7 @@ class Scenario:
     """One named batch job: a config template plus sweep grid and seeds."""
 
     name: str
-    kind: str                      # run | swarm | prototype
+    kind: str                      # a key of runner.KINDS
     fields: tuple[tuple[str, str], ...]
     sweep: tuple[tuple[str, tuple[str, ...]], ...] = ()
     repeat: int = 1
@@ -87,183 +103,140 @@ class Scenario:
             yield label, overrides
 
 
-def _get(fields: dict[str, str], key: str, default: str | None = None) -> str:
-    value = fields.get(key, default)
-    if value is None:
-        raise ScenarioParseError(f"missing required field {key!r}")
-    return value
-
-
-def _number(fields, key, default, convert, scenario):
-    raw = fields.get(key, None)
-    if raw is None or raw == "":
-        return default
+def _parse(raw: str, kind: type, scenario: str, key: str):
+    """One field's text as `kind`: an Enum, str, int, float or tuple of floats."""
     try:
-        return convert(raw)
+        if issubclass(kind, Enum):
+            return kind(raw.strip().upper())
+        if kind is tuple:
+            return tuple(float(x) for x in raw.split(",") if x.strip())
+        return kind(raw)
+    except ValueError as exc:
+        expected = (f"not one of {', '.join(e.value for e in kind)}"
+                    if issubclass(kind, Enum) else "is not a number")
+        raise ScenarioParseError(
+            f"scenario {scenario!r}, field {key!r}: {raw!r} {expected}") from exc
+
+
+@cache
+def _params(target, keys: tuple[str, ...]) -> tuple[tuple[str, str, type], ...]:
+    """(key, parameter, parser) of each key: the parser is the parameter's
+    annotation in `target`, a spec class or factory, without `| None`."""
+    hints = get_type_hints(target)
+    params = []
+    for key in keys:
+        param = _RENAMED.get(key, key)
+        hint = hints[param]
+        params.append((key, param, next(
+            (a for a in get_args(hint) if a is not NoneType), hint)))
+    return tuple(params)
+
+
+def _given(target, keys: tuple[str, ...], f: dict[str, str], scenario: str) -> dict:
+    """The fields of `keys` that `f` sets, parsed, by `target`'s parameter names.
+
+    An empty value leaves a field unset, except for a string field, where it is
+    the empty string.
+    """
+    given = {}
+    for key, param, kind in _params(target, keys):
+        raw = f.get(key)
+        if raw is not None and (raw or kind is str):
+            given[param] = _parse(raw, kind, scenario, key)
+    return given
+
+
+def _make(target, scenario: str, given: dict):
+    try:
+        return target(**given)
+    except ValueError as exc:
+        raise ScenarioValidationError(f"scenario {scenario!r}: {exc}") from exc
+
+
+def _nested(given: dict, param: str, target, keys, f, scenario) -> None:
+    """Builds `given[param]` only when `f` sets one of its keys, so that a spec
+    the scenario leaves alone keeps its owner's default."""
+    fields = _given(target, keys, f, scenario)
+    if fields:
+        given[param] = _make(target, scenario, fields)
+
+
+def _numbers(raw: str, scenario: str, key: str) -> np.ndarray:
+    """A matrix literal: rows split by ';', numbers by ',' or spaces."""
+    try:
+        return np.array([[float(x) for x in row.replace(",", " ").split()]
+                         for row in raw.split(";")], dtype=float)
     except ValueError as exc:
         raise ScenarioParseError(
-            f"scenario {scenario!r}, field {key!r}: {raw!r} is not a number"
-        ) from exc
+            f"scenario {scenario!r}, field {key!r}: bad number list {raw!r}") from exc
 
 
-def _enum(fields, key, enum_type, default, scenario):
-    raw = fields.get(key, None)
-    if raw is None or raw == "":
-        return default
+def build_channel(scenario: Scenario, overrides=None, seed=None) -> ChannelSpec:
+    f = scenario.field_map(overrides)
+    given = _given(ChannelSpec, _CHANNEL, f, scenario.name)
+    if seed is not None:
+        given["seed"] = seed
+    _nested(given, "mask_rate", EpsilonSchedule, _MASK, f, scenario.name)
+    return _make(ChannelSpec, scenario.name, given)
+
+
+def _measure(raw: str, f: dict[str, str], scenario: str) -> MeasureSpec:
     try:
-        return enum_type(raw.strip().upper())
-    except ValueError as exc:
-        allowed = ", ".join(e.value for e in enum_type)
+        factory, keys = _MEASURES[MeasureKind(raw.strip().upper())]
+    except (ValueError, KeyError) as exc:
         raise ScenarioParseError(
-            f"scenario {scenario!r}, field {key!r}: {raw!r} not one of {allowed}"
-        ) from exc
-
-
-def _matrix(raw: str, scenario: str, key: str) -> np.ndarray:
-    try:
-        rows = [
-            [float(x) for x in row.replace(",", " ").split()]
-            for row in raw.split(";")
-        ]
-        return np.array(rows, dtype=float)
-    except ValueError as exc:
-        raise ScenarioParseError(
-            f"scenario {scenario!r}, field {key!r}: bad matrix literal") from exc
-
-
-def _vector(raw: str, scenario: str, key: str) -> np.ndarray:
-    try:
-        return np.array([float(x) for x in raw.replace(",", " ").split()])
-    except ValueError as exc:
-        raise ScenarioParseError(
-            f"scenario {scenario!r}, field {key!r}: bad vector literal") from exc
-
-
-def build_channel(scenario: Scenario, overrides=None) -> ChannelSpec:
-    f = scenario.field_map(overrides)
-    name = scenario.name
-    try:
-        mask = EpsilonSchedule(
-            eps0=_number(f, "eps0", 0.0, float, name),
-            kappa=_number(f, "kappa", 0.0, float, name),
-            alpha_decay=_number(f, "alpha_decay", 1.0, float, name),
-            kind=_enum(f, "mask_kind", ScheduleKind, ScheduleKind.CONSTANT, name),
-        )
-        return ChannelSpec(
-            psi_kind=_enum(f, "psi_kind", PsiKind, PsiKind.IDENTITY, name),
-            temperature=_number(f, "temperature", 1.0, float, name),
-            mask_rate=mask,
-            noise_len=_number(f, "noise_len", 8, int, name),
-            seed=_number(f, "seed", 0, int, name),
-            const_meaning=f.get("const_meaning", "111"),
-            gamma_true=_number(f, "gamma_true", 0.0, float, name),
-            gain_lo=_number(f, "gain_lo", 0, int, name),
-            gain_hi=_number(f, "gain_hi", 1, int, name),
-            decay_len=_number(f, "decay_len", 0.0, float, name),
-            decay_power=_number(f, "decay_power", 1.0, float, name),
-        )
-    except ScenarioParseError:
-        raise
-    except ValueError as exc:
-        raise ScenarioValidationError(f"scenario {name!r}: {exc}") from exc
-
-
-def build_measure(scenario: Scenario, overrides=None) -> MeasureSpec:
-    f = scenario.field_map(overrides)
-    kind = f.get("measure_kind", "LENGTH").strip().upper()
-    if kind == "LENGTH":
-        return length_measure()
-    if kind == "COMPRESSION_GAIN":
-        return compression_gain_measure()
-    if kind == "POWER_LAW":
-        return power_measure(_number(f, "beta_pow", 2.0, float, scenario.name))
-    if kind == "FISHER":
-        return fisher_measure(_number(f, "theta0", 0.5, float, scenario.name))
-    raise ScenarioParseError(
-        f"scenario {scenario.name!r}: unknown measure_kind {kind!r}")
-
-
-def build_update(scenario: Scenario, overrides=None) -> UpdateRuleSpec:
-    f = scenario.field_map(overrides)
-    name = scenario.name
-    return UpdateRuleSpec(
-        kind=_enum(f, "update_kind", UpdateKind, UpdateKind.APPEND, name),
-        delta=_number(f, "delta", 1.0, float, name),
-        c1=_number(f, "c1", 1.0, float, name),
-        c2=_number(f, "c2", 1.0, float, name),
-        gain_scale=_number(f, "gain_scale", 1.0, float, name),
-        h_kind=_enum(f, "h_kind", SublinearKind, SublinearKind.LOG1P, name),
-        window=_number(f, "window", 0, int, name),
-        drop_to=_number(f, "drop_to", 0.0, float, name),
-    )
-
-
-def build_cost_model(scenario: Scenario, overrides=None) -> CostModel:
-    f = scenario.field_map(overrides)
-    name = scenario.name
-    return CostModel(
-        alpha_attn=_number(f, "alpha_attn", 1.0, float, name),
-        alpha_ffn=_number(f, "alpha_ffn", 1.0, float, name),
-        variant=_enum(f, "cost_variant", CostVariant, CostVariant.FULL, name),
-        rank=_number(f, "rank", 1, int, name),
-        alpha_attn_r=_number(f, "alpha_attn_r", 1.0, float, name),
-        log_coeff=_number(f, "log_coeff", 1.0, float, name),
-    )
+            f"scenario {scenario!r}, field 'measure_kind': {raw!r} not one of "
+            + ", ".join(kind.value for kind in _MEASURES)) from exc
+    return _make(factory, scenario, _given(factory, keys, f, scenario))
 
 
 def build_run_config(scenario: Scenario, overrides=None, seed=None) -> RunConfig:
     f = scenario.field_map(overrides)
     name = scenario.name
-    channel = build_channel(scenario, overrides)
-    if seed is not None:
-        channel = dataclasses.replace(channel, seed=seed)
-    max_flops = _number(f, "max_flops", None, float, name)
-    max_norm = _number(f, "max_norm", None, float, name)
-    budget = None
-    if max_flops is not None or max_norm is not None:
-        budget = BudgetGate(max_flops=max_flops, max_norm=max_norm)
-    try:
-        return RunConfig(
-            channel=channel,
-            update=build_update(scenario, overrides),
-            measure=build_measure(scenario, overrides),
-            gamma=_number(f, "gamma", 1.0, float, name),
-            horizon=_number(f, "horizon", 1, int, name),
-            mode=_enum(f, "mode", Mode, Mode.ABSTRACT, name),
-            initial_norm=_number(f, "initial_norm", 0.0, float, name),
-            initial_symbols=f.get("initial_symbols", ""),
-            budget=budget,
-            cost_model=build_cost_model(scenario, overrides),
-        )
-    except ScenarioParseError:
-        raise
-    except ValueError as exc:
-        raise ScenarioValidationError(f"scenario {name!r}: {exc}") from exc
+    given = _given(RunConfig, _RUN, f, name)
+    given["channel"] = build_channel(scenario, overrides, seed)
+    given["update"] = _make(UpdateRuleSpec, name, _given(UpdateRuleSpec, _UPDATE, f, name))
+    if f.get("measure_kind"):
+        given["measure"] = _measure(f["measure_kind"], f, name)
+    _nested(given, "budget", BudgetGate, _BUDGET, f, name)
+    _nested(given, "cost_model", CostModel, _COST, f, name)
+    return _make(RunConfig, name, given)
 
 
 def build_swarm_spec(scenario: Scenario, overrides=None) -> SwarmSpec:
     f = scenario.field_map(overrides)
     name = scenario.name
-    k = _number(f, "k", 2, int, name)
-    beta = _matrix(_get(f, "beta"), name, "beta")
-    lam_raw = f.get("lam", "")
-    lam = _vector(lam_raw, name, "lam") if lam_raw else np.ones(k)
-    try:
-        return SwarmSpec(
-            k=k, beta=beta, lam=lam,
-            schedule=_enum(f, "schedule", Schedule, Schedule.SYNCHRONOUS, name),
-            base_gain=_number(f, "base_gain", 1.0, float, name),
-            delta=_number(f, "delta", 1.0, float, name),
-            gamma=_number(f, "gamma", 1.0, float, name),
-            gain_mode=_enum(f, "gain_mode", GainMode, GainMode.STATIC, name),
-        )
-    except ScenarioParseError:
-        raise
-    except ValueError as exc:
-        raise ScenarioValidationError(f"scenario {name!r}: {exc}") from exc
+    if "beta" not in f:
+        raise ScenarioParseError(f"scenario {name!r}: missing required field 'beta'")
+    given = _given(SwarmSpec, _SWARM, f, name)
+    given["beta"] = _numbers(f["beta"], name, "beta")
+    k = given.setdefault("k", len(given["beta"]))
+    lam = f.get("lam", "")
+    given["lam"] = _numbers(lam, name, "lam").ravel() if lam else np.ones(k)
+    return _make(SwarmSpec, name, given)
+
+
+def runner_fields(scenario: Scenario, table: dict, overrides=None) -> dict:
+    """The fields of `table` (key -> (default, least allowed value)), parsed.
+
+    These are the fields only the runner reads. The default's type parses the
+    text, and a field the scenario leaves out or sets empty takes the default.
+    """
+    f = scenario.field_map(overrides)
+    values = {}
+    for key, (default, least) in table.items():
+        raw = f.get(key)
+        value = _parse(raw, type(default), scenario.name, key) if raw else default
+        if least is not None and value < least:
+            raise ScenarioValidationError(
+                f"scenario {scenario.name!r}, field {key!r}: must be at least {least}")
+        values[key] = value
+    return values
 
 
 def _validate(scenario: Scenario) -> None:
+    from .runner import KINDS
+
     for output in scenario.outputs:
         if output not in VALID_OUTPUTS:
             raise ScenarioValidationError(
@@ -271,40 +244,32 @@ def _validate(scenario: Scenario) -> None:
     if scenario.repeat < 1:
         raise ScenarioValidationError(
             f"scenario {scenario.name!r}: repeat must be at least 1")
-    allowed = {"run": RUN_CHECKS, "swarm": SWARM_CHECKS, "prototype": ()}
-    if scenario.kind not in allowed:
+    kind = KINDS.get(scenario.kind)
+    if kind is None:
         raise ScenarioValidationError(
             f"scenario {scenario.name!r}: unknown kind {scenario.kind!r}")
     for check in scenario.checks:
-        if check not in allowed[scenario.kind]:
+        if check not in kind.checks:
             raise ScenarioValidationError(
                 f"scenario {scenario.name!r}: check {check!r} does not apply "
                 f"to kind {scenario.kind!r}")
-    # Construct every sweep point so invariant violations surface at load.
+    # Build every sweep point so invariant violations surface at load.
     for _, overrides in scenario.sweep_points():
-        if scenario.kind == "run":
-            build_run_config(scenario, overrides)
-        elif scenario.kind == "swarm":
-            build_swarm_spec(scenario, overrides)
-        else:
-            f = scenario.field_map(overrides)
-            if _number(f, "steps", 200, int, scenario.name) < 1:
-                raise ScenarioValidationError(
-                    f"scenario {scenario.name!r}: steps must be at least 1")
+        if kind.build is not None:
+            kind.build(scenario, overrides)
+        runner_fields(scenario, kind.fields, overrides)
 
 
 def _scenario_from_section(name: str, options: dict[str, str]) -> Scenario:
-    kind = options.pop("kind", "run").strip()
-    repeat_raw = options.pop("repeat", "1")
-    try:
-        repeat = int(repeat_raw)
-    except ValueError as exc:
-        raise ScenarioParseError(
-            f"scenario {name!r}, field 'repeat': {repeat_raw!r}") from exc
-    outputs = tuple(
-        x.strip() for x in options.pop("outputs", "csv,json").split(",") if x.strip())
-    checks = tuple(
-        x.strip() for x in options.pop("checks", "").split(",") if x.strip())
+    from .runner import KINDS
+
+    kind = options.pop("kind", next(iter(KINDS))).strip()
+    given = {}
+    if "repeat" in options:
+        given["repeat"] = _parse(options.pop("repeat"), int, name, "repeat")
+    for key in ("outputs", "checks"):
+        if key in options:
+            given[key] = tuple(x.strip() for x in options.pop(key).split(",") if x.strip())
     sweep = []
     for key in [k for k in options if k.startswith("sweep_")]:
         values = tuple(v.strip() for v in options.pop(key).split(",") if v.strip())
@@ -312,12 +277,8 @@ def _scenario_from_section(name: str, options: dict[str, str]) -> Scenario:
             raise ScenarioParseError(
                 f"scenario {name!r}: sweep field {key!r} is empty")
         sweep.append((key[len("sweep_"):], values))
-    scenario = Scenario(
-        name=name, kind=kind,
-        fields=tuple(sorted(options.items())),
-        sweep=tuple(sorted(sweep)),
-        repeat=repeat, outputs=outputs, checks=checks,
-    )
+    scenario = Scenario(name=name, kind=kind, fields=tuple(sorted(options.items())),
+                        sweep=tuple(sorted(sweep)), **given)
     _validate(scenario)
     return scenario
 
@@ -376,118 +337,64 @@ def emit_scenarios(scenarios: list[Scenario]) -> str:
     return "\n".join(lines)
 
 
-def _scenario(name, kind, fields, **kwargs) -> Scenario:
-    return Scenario(name=name, kind=kind, fields=tuple(sorted(fields.items())),
-                    **kwargs)
+_GATED = ("psi_kind=GATED noise_len=8 measure_kind=LENGTH update_kind=DELTA_MONOTONE "
+          "mode=ABSTRACT ")
+
+# The packaged scenario set (`loopsim run builtin`): each scenario is the
+# `key=value` options of its config-file section, parsed the same way.
+_BUILTIN = dict(
+    # 1-bit self-copy demo: the trace IS the point, no verdicts attach
+    # (single-bit states repeat by chance, so fixed-point classification
+    # is only meaningful at wider noise).
+    onebit="psi_kind=IDENTITY noise_len=1 temperature=1.0 update_kind=OVERWRITE "
+           "mode=CONCRETE initial_norm=1 initial_symbols=0 gamma=1 horizon=32 seed=1",
+    tokens="psi_kind=IDENTITY noise_len=22 update_kind=OVERWRITE mode=CONCRETE "
+           "gamma=1 horizon=100 seed=2 sweep_temperature=1.0,0.0 checks=fixed_point",
+    prototype="kind=prototype steps=200 gamma=10 seed=3",
+    drift=_GATED + "gamma=10 gamma_true=10 gain_lo=0 gain_hi=10 delta=0.5 "
+                   "initial_norm=11 horizon=10000 seed=4 checks=drift",
+    masked_drift=_GATED + "gamma=10 gamma_true=10 gain_lo=0 gain_hi=12 delta=1.0 "
+                          "initial_norm=11 horizon=10000 seed=5 eps0=0.5 checks=drift",
+    bounded=_GATED + "gamma=10 gamma_true=10 gain_lo=0 gain_hi=12 delta=1.0 "
+                     "initial_norm=5 horizon=20000 seed=6 repeat=3 checks=bounded",
+    collapse=_GATED + "gamma=4 gamma_true=4 gain_lo=0 gain_hi=10 delta=0.5 "
+                      "initial_norm=2 horizon=20000 seed=7 eps0=0.95 repeat=3 "
+                      "checks=bounded",
+    bursts=_GATED + "update_kind=WINDOWED window=100 drop_to=11 delta=1.0 gamma=10 "
+                    "gamma_true=10 gain_lo=0 gain_hi=10 initial_norm=11 horizon=20000 "
+                    "seed=8 checks=bursts",
+    finite_time=_GATED + "gamma=10 gamma_true=10 gain_lo=2 gain_hi=10 delta=1.0 "
+                         "initial_norm=2 horizon=40 seed=9 bound_target=100 "
+                         "checks=drift,time_bound",
+    cost_slope=_GATED + "gamma=10 gamma_true=10 gain_lo=0 gain_hi=10 delta=1.0 "
+                        "initial_norm=11 horizon=10000 seed=10 checks=cost_slope",
+    tightness=_GATED + "gamma=50 gamma_true=50 gain_lo=0 gain_hi=5 horizon=1 seed=11 "
+                       "bracket_lo=1 bracket_hi=100 iterations=20 mc_samples=32",
+    swarm_sync="kind=swarm k=2 beta=0,0.5;0.5,0 lam=1,1 schedule=SYNCHRONOUS "
+               "base_gain=4 delta=1 gamma=100 horizon=1000 seed=12 "
+               "checks=collective_gain",
+    swarm_async="kind=swarm k=2 beta=0,0.5;0.5,0 lam=0.5,0.5 schedule=BERNOULLI_ASYNC "
+                "base_gain=4 delta=1 gamma=100 horizon=10000 seed=13 "
+                "checks=collective_gain",
+    swarm_relay="kind=swarm k=2 beta=0,0.5;0.5,0 lam=1,1 schedule=SYNCHRONOUS "
+                "base_gain=1 delta=1 gamma=1000 gain_mode=RELAY horizon=60 seed=14 "
+                "checks=divergence",
+    # Exponential growth against a budget-sized crossing level: the
+    # crossing time tracks log(budget).
+    conjecture_log=_GATED + "psi_kind=MIRROR delta=0.25 initial_norm=4 gamma=50 "
+                            "horizon=400 seed=15 eps0=0.1 budgets=50,100,200,400,800 "
+                            "conjecture_seeds=8 budget_binding=gamma",
+    # Budget-independent control: fixed gain and crossing level, so the
+    # crossing time ignores the budget entirely.
+    conjecture_flat=_GATED + "gamma_true=5 gain_lo=0 gain_hi=10 delta=1.0 "
+                             "initial_norm=6 gamma=100 horizon=400 seed=16 eps0=0.1 "
+                             "budgets=50,100,200,400,800 conjecture_seeds=8 "
+                             "budget_binding=none",
+)
 
 
 def builtin_scenarios() -> list[Scenario]:
     """The packaged scenario set (`loopsim run builtin`)."""
-    gated = {
-        "psi_kind": "GATED", "noise_len": "8", "measure_kind": "LENGTH",
-        "update_kind": "DELTA_MONOTONE", "mode": "ABSTRACT",
-    }
-    scenarios = [
-        # 1-bit self-copy demo: the trace IS the point, no verdicts attach
-        # (single-bit states repeat by chance, so fixed-point classification
-        # is only meaningful at wider noise).
-        _scenario("onebit", "run", {
-            "psi_kind": "IDENTITY", "noise_len": "1", "temperature": "1.0",
-            "update_kind": "OVERWRITE", "mode": "CONCRETE",
-            "initial_norm": "1", "initial_symbols": "0",
-            "gamma": "1", "horizon": "32", "seed": "1",
-        }),
-        _scenario("tokens", "run", {
-            "psi_kind": "IDENTITY", "noise_len": "22",
-            "update_kind": "OVERWRITE", "mode": "CONCRETE",
-            "gamma": "1", "horizon": "100", "seed": "2",
-        }, sweep=(("temperature", ("1.0", "0.0")),), checks=("fixed_point",)),
-        _scenario("prototype", "prototype", {
-            "steps": "200", "gamma": "10", "seed": "3",
-        }),
-        _scenario("drift", "run", {
-            **gated, "gamma": "10", "gamma_true": "10", "gain_lo": "0",
-            "gain_hi": "10", "delta": "0.5", "initial_norm": "11",
-            "horizon": "10000", "seed": "4",
-        }, checks=("drift",)),
-        _scenario("masked_drift", "run", {
-            **gated, "gamma": "10", "gamma_true": "10", "gain_lo": "0",
-            "gain_hi": "12", "delta": "1.0", "initial_norm": "11",
-            "horizon": "10000", "seed": "5", "eps0": "0.5",
-        }, checks=("drift",)),
-        _scenario("bounded", "run", {
-            **gated, "gamma": "10", "gamma_true": "10", "gain_lo": "0",
-            "gain_hi": "12", "delta": "1.0", "initial_norm": "5",
-            "horizon": "20000", "seed": "6",
-        }, repeat=3, checks=("bounded",)),
-        _scenario("collapse", "run", {
-            **gated, "gamma": "4", "gamma_true": "4", "gain_lo": "0",
-            "gain_hi": "10", "delta": "0.5", "initial_norm": "2",
-            "horizon": "20000", "seed": "7", "eps0": "0.95",
-        }, repeat=3, checks=("bounded",)),
-        _scenario("bursts", "run", {
-            "psi_kind": "GATED", "noise_len": "8", "measure_kind": "LENGTH",
-            "mode": "ABSTRACT", "update_kind": "WINDOWED", "window": "100",
-            "drop_to": "11", "delta": "1.0", "gamma": "10",
-            "gamma_true": "10", "gain_lo": "0", "gain_hi": "10",
-            "initial_norm": "11", "horizon": "20000", "seed": "8",
-        }, checks=("bursts",)),
-        _scenario("finite_time", "run", {
-            **gated, "gamma": "10", "gamma_true": "10", "gain_lo": "2",
-            "gain_hi": "10", "delta": "1.0", "initial_norm": "2",
-            "horizon": "40", "seed": "9", "bound_target": "100",
-        }, checks=("drift", "time_bound")),
-        _scenario("cost_slope", "run", {
-            **gated, "gamma": "10", "gamma_true": "10", "gain_lo": "0",
-            "gain_hi": "10", "delta": "1.0", "initial_norm": "11",
-            "horizon": "10000", "seed": "10",
-        }, checks=("cost_slope",)),
-        _scenario("tightness", "run", {
-            "psi_kind": "GATED", "noise_len": "8", "measure_kind": "LENGTH",
-            "update_kind": "DELTA_MONOTONE", "mode": "ABSTRACT",
-            "gamma": "50", "gamma_true": "50", "gain_lo": "0", "gain_hi": "5",
-            "horizon": "1", "seed": "11",
-            "bracket_lo": "1", "bracket_hi": "100",
-            "iterations": "20", "mc_samples": "32",
-        }),
-        _scenario("swarm_sync", "swarm", {
-            "k": "2", "beta": "0 0.5; 0.5 0", "lam": "1,1",
-            "schedule": "SYNCHRONOUS", "base_gain": "4", "delta": "1",
-            "gamma": "100", "horizon": "1000", "seed": "12",
-        }, checks=("collective_gain",)),
-        _scenario("swarm_async", "swarm", {
-            "k": "2", "beta": "0 0.5; 0.5 0", "lam": "0.5,0.5",
-            "schedule": "BERNOULLI_ASYNC", "base_gain": "4", "delta": "1",
-            "gamma": "100", "horizon": "10000", "seed": "13",
-        }, checks=("collective_gain",)),
-        _scenario("swarm_relay", "swarm", {
-            "k": "2", "beta": "0 0.5; 0.5 0", "lam": "1,1",
-            "schedule": "SYNCHRONOUS", "base_gain": "1", "delta": "1",
-            "gamma": "1000", "gain_mode": "RELAY", "horizon": "60",
-            "seed": "14",
-        }, checks=("divergence",)),
-        # Exponential growth against a budget-sized crossing level: the
-        # crossing time tracks log(budget).
-        _scenario("conjecture_log", "run", {
-            "psi_kind": "MIRROR", "noise_len": "8", "measure_kind": "LENGTH",
-            "update_kind": "DELTA_MONOTONE", "mode": "ABSTRACT",
-            "delta": "0.25", "initial_norm": "4", "gamma": "50",
-            "horizon": "400", "seed": "15", "eps0": "0.1",
-            "budgets": "50,100,200,400,800", "conjecture_seeds": "8",
-            "budget_binding": "gamma",
-        }),
-        # Budget-independent control: fixed gain and crossing level, so the
-        # crossing time ignores the budget entirely.
-        _scenario("conjecture_flat", "run", {
-            "psi_kind": "GATED", "noise_len": "8", "measure_kind": "LENGTH",
-            "update_kind": "DELTA_MONOTONE", "mode": "ABSTRACT",
-            "gamma_true": "5", "gain_lo": "0", "gain_hi": "10",
-            "delta": "1.0", "initial_norm": "6", "gamma": "100",
-            "horizon": "400", "seed": "16", "eps0": "0.1",
-            "budgets": "50,100,200,400,800", "conjecture_seeds": "8",
-            "budget_binding": "none",
-        }),
-    ]
-    for s in scenarios:
-        _validate(s)
-    return scenarios
+    return [_scenario_from_section(name, dict(option.split("=", 1)
+                                              for option in options.split()))
+            for name, options in _BUILTIN.items()]

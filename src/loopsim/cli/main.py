@@ -26,7 +26,7 @@ from .config import (
     load_scenarios,
 )
 from .runner import (
-    AUDIT_MEASURES,
+    AUDITS,
     FAIL,
     aggregate_reports,
     conjecture_experiment,
@@ -86,8 +86,36 @@ def run_command(config, scenario_name, outdir, jobs) -> None:
     sys.exit(1 if failures else 0)
 
 
+def _emit(doc: dict, outdir, filename: str) -> None:
+    """Echoes a JSON document and, given `outdir`, also writes it there."""
+    text = json.dumps(doc, indent=2)
+    click.echo(text)
+    if outdir is not None:
+        directory = Path(outdir)
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / filename).write_text(text, encoding="utf-8")
+
+
+def _experiments(config, scenario_name, key, experiment, outdir, suffix) -> int:
+    """Runs `experiment` on every scenario that sets `key` and emits each
+    document as `<scenario>.<suffix>.json`; returns how many ran. A
+    ValueError ends the process with exit code 2, naming the scenario."""
+    ran = 0
+    for scenario in _load(config, scenario_name):
+        if key not in dict(scenario.fields):
+            continue
+        try:
+            doc = experiment(scenario)
+        except ValueError as exc:
+            click.echo(f"error: scenario {scenario.name!r}: {exc}", err=True)
+            sys.exit(2)
+        _emit(doc, outdir, f"{scenario.name}.{suffix}.json")
+        ran += 1
+    return ran
+
+
 @main.command(name="audit")
-@click.argument("measure", type=click.Choice(AUDIT_MEASURES))
+@click.argument("measure", type=click.Choice(tuple(AUDITS)))
 @click.option("--samples", default=10_000, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", "outdir", default=None,
@@ -96,12 +124,7 @@ def run_command(config, scenario_name, outdir, jobs) -> None:
 def audit_command(measure, samples, seed, outdir) -> None:
     """Audit MEASURE against the gain-measure axioms."""
     doc = run_audit(measure, samples=samples, seed=seed)
-    text = json.dumps(doc, indent=2)
-    click.echo(text)
-    if outdir is not None:
-        directory = Path(outdir)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{measure}.audit.json").write_text(text, encoding="utf-8")
+    _emit(doc, outdir, f"{measure}.audit.json")
     sys.exit(1 if any(v["status"] == FAIL for v in doc["verdicts"]) else 0)
 
 
@@ -112,18 +135,8 @@ def audit_command(measure, samples, seed, outdir) -> None:
               type=click.Path(file_okay=False))
 def gamma_star_command(config, scenario_name, outdir) -> None:
     """Estimate the critical context size of a gated scenario channel."""
-    scenarios = _load(config, scenario_name)
-    for scenario in scenarios:
-        if "bracket_lo" not in dict(scenario.fields):
-            continue
-        doc = run_gamma_star(scenario)
-        text = json.dumps(doc, indent=2)
-        click.echo(text)
-        if outdir is not None:
-            directory = Path(outdir)
-            directory.mkdir(parents=True, exist_ok=True)
-            (directory / f"{scenario.name}.gammastar.json").write_text(
-                text, encoding="utf-8")
+    _experiments(config, scenario_name, "bracket_lo", run_gamma_star, outdir,
+                 "gammastar")
     sys.exit(0)
 
 
@@ -134,25 +147,8 @@ def gamma_star_command(config, scenario_name, outdir) -> None:
               type=click.Path(file_okay=False))
 def conjecture_command(config, scenario_name, outdir) -> None:
     """Fit threshold-crossing time against log budget (no verdict)."""
-    scenarios = _load(config, scenario_name)
-    ran = 0
-    for scenario in scenarios:
-        if "budgets" not in dict(scenario.fields):
-            continue
-        try:
-            doc = conjecture_experiment(scenario)
-        except ValueError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        ran += 1
-        text = json.dumps(doc, indent=2)
-        click.echo(text)
-        if outdir is not None:
-            directory = Path(outdir)
-            directory.mkdir(parents=True, exist_ok=True)
-            (directory / f"{scenario.name}.conjecture.json").write_text(
-                text, encoding="utf-8")
-    if ran == 0:
+    if _experiments(config, scenario_name, "budgets", conjecture_experiment,
+                    outdir, "conjecture") == 0:
         click.echo("error: no scenario carries a 'budgets' grid", err=True)
         sys.exit(2)
     sys.exit(0)

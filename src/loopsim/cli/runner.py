@@ -17,13 +17,17 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ..channel import epsilon_at
 from ..cost import CostVariant, cumulative_compute
 from ..engine import (
+    NoCrossingError,
+    PreconditionError,
     PrototypeMode,
+    RuleMismatchError,
     burst_stats,
     detect_fixed_point,
     divergence_time_bound,
@@ -33,7 +37,7 @@ from ..engine import (
     verify_bounded,
     verify_drift,
 )
-from ..engine.checks import NoCrossingError, sublinear_growth_report
+from ..engine.checks import sublinear_growth_report
 from ..measures import (
     audit_lz_dictionary_reuse,
     audit_measure,
@@ -46,7 +50,7 @@ from ..measures import (
 )
 from ..meanings import Meaning
 from ..swarm import check_collective_gain, predict_and_verify_divergence, run_swarm
-from .config import Scenario, build_run_config, build_swarm_spec
+from .config import Scenario, build_run_config, build_swarm_spec, runner_fields
 from .plots import svg_line_plot
 
 PASS = "PASS"
@@ -73,106 +77,118 @@ def _slug(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9._=+-]+", "-", label) if label else "base"
 
 
-def _verdict(name, status, **detail):
+def _verdict(name, status, detail):
     return {"name": name, "status": status, "detail": detail}
 
 
-def _num(fields, key, default):
-    raw = fields.get(key, "")
-    return type(default)(raw) if raw != "" else default
+def _status(passed) -> str:
+    return PASS if passed else FAIL
 
 
-def _run_checks(traj, scenario: Scenario, fields) -> list[dict]:
-    verdicts = []
-    cfg = traj.config
-    delta = cfg.update.delta * cfg.update.gain_scale
+def _delta_eps(cfg) -> tuple[float, float]:
+    """The drift per step above the gate and the mask rate at t = 1."""
     eps = 0.0 if cfg.channel.mask_rate.is_zero else epsilon_at(1, cfg.channel.mask_rate)
-    for check in scenario.checks:
-        if check == "drift":
-            try:
-                report = verify_drift(traj, delta, cfg.gamma, eps)
-            except NoCrossingError as exc:
-                verdicts.append(_verdict(check, FAIL, error=str(exc)))
-                continue
-            verdicts.append(_verdict(
-                check, PASS if report.passed else FAIL,
-                t0=report.t0, min_margin=report.min_margin,
-                mean_drift=report.mean_drift, mean_bound=report.mean_bound))
-        elif check == "bounded":
-            report = verify_bounded(traj, cfg.gamma)
-            verdicts.append(_verdict(
-                check, PASS if report.passed else FAIL,
-                max_norm=report.max_norm, gamma=cfg.gamma))
-        elif check == "bursts":
-            report = burst_stats(traj, cfg.update.window)
-            ok = report.passed and report.bursts > 0
-            verdicts.append(_verdict(
-                check, PASS if ok else FAIL, bursts=report.bursts,
-                max_norm=report.max_norm, gap_bound=report.gap_bound))
-        elif check == "fixed_point":
-            step_found = detect_fixed_point(traj)
-            verdicts.append(_verdict(
-                check, INFO,
-                fixed_point_step=step_found,
-                classification="CONVERGED" if step_found is not None else "DIVERGENT"))
-        elif check == "cost_slope":
-            window = (100, min(cfg.horizon, 10_000))
-            full = cumulative_compute(traj, cfg.cost_model, window)
-            low = cumulative_compute(
-                traj,
-                dataclasses.replace(cfg.cost_model, variant=CostVariant.LOW_RANK,
-                                    rank=_num(fields, "rank", 4)),
-                window)
-            ok = abs(full.slope - 2.0) <= 0.1 and abs(low.slope - 1.0) <= 0.1
-            verdicts.append(_verdict(
-                check, PASS if ok else FAIL,
-                full_slope=full.slope, low_rank_slope=low.slope))
-        elif check == "time_bound":
-            target = _num(fields, "bound_target", 100.0)
-            t_star = traj.first_crossing(cfg.gamma)
-            if t_star is None:
-                verdicts.append(_verdict(check, FAIL, error="no crossing"))
-                continue
-            bound = divergence_time_bound(
-                t_star, float(traj.norms[t_star]), target, delta, eps, cfg.gamma)
-            reached = np.nonzero(traj.norms >= target)[0]
-            observed = int(reached[0]) if len(reached) else None
-            ok = observed is not None and observed <= bound
-            verdicts.append(_verdict(
-                check, PASS if ok else FAIL,
-                t_star=t_star, bound=bound, observed=observed))
-        elif check == "sublinear_growth":
-            report = sublinear_growth_report(
-                traj, max(1, traj.steps // 10), traj.steps)
-            verdicts.append(_verdict(check, INFO, **report))
-    return verdicts
+    return cfg.update.delta * cfg.update.gain_scale, eps
 
 
-def _swarm_checks(traj, spec, scenario: Scenario) -> list[dict]:
+def _verdicts(table, names, *args) -> list[dict]:
+    """The verdicts of the checks `names` of `table`, each given `args`.
+
+    A check whose verifier rejects the run (no crossing, a start above the
+    threshold, a run its rule does not fit) fails, naming the reason.
+    """
     verdicts = []
-    for check in scenario.checks:
-        if check == "collective_gain":
-            report = check_collective_gain(traj, spec)
-            verdicts.append(_verdict(
-                check, PASS if report.passed else FAIL,
-                collective_mean=report.collective_mean,
-                collective_bound=report.collective_bound,
-                per_agent=[(c.mean_delta, c.bound) for c in report.per_agent]))
-        elif check == "divergence":
-            report = predict_and_verify_divergence(spec, traj.steps, traj.seed)
-            if report.rho > 1.0:
-                ok = report.flagged_divergent and bool(report.growth_ok)
-                status = PASS if ok else FAIL
-            else:
-                status = INFO
-            verdicts.append(_verdict(
-                check, status, rho=report.rho, slope=report.slope,
-                crossed=report.crossed, crossing_step=report.crossing_step))
+    for name in names:
+        try:
+            status, detail = table[name](*args)
+        except (NoCrossingError, PreconditionError, RuleMismatchError, ValueError) as exc:
+            status, detail = FAIL, {"error": str(exc)}
+        verdicts.append(_verdict(name, status, detail))
     return verdicts
+
+
+# Run checks: each takes the trajectory, its config and the scenario's runner
+# fields, and returns a status and the verdict's detail.
+
+def _drift(traj, cfg, fields):
+    delta, eps = _delta_eps(cfg)
+    report = verify_drift(traj, delta, cfg.gamma, eps)
+    return _status(report.passed), dict(
+        t0=report.t0, min_margin=report.min_margin,
+        mean_drift=report.mean_drift, mean_bound=report.mean_bound)
+
+
+def _bounded(traj, cfg, fields):
+    report = verify_bounded(traj, cfg.gamma)
+    return _status(report.passed), dict(max_norm=report.max_norm, gamma=cfg.gamma)
+
+
+def _bursts(traj, cfg, fields):
+    report = burst_stats(traj, cfg.update.window)
+    return _status(report.passed and report.bursts > 0), dict(
+        bursts=report.bursts, max_norm=report.max_norm, gap_bound=report.gap_bound)
+
+
+def _fixed_point(traj, cfg, fields):
+    step = detect_fixed_point(traj)
+    return INFO, dict(fixed_point_step=step,
+                      classification="CONVERGED" if step is not None else "DIVERGENT")
+
+
+def _cost_slope(traj, cfg, fields):
+    window = (100, min(cfg.horizon, 10_000))
+    full = cumulative_compute(traj, cfg.cost_model, window)
+    low_rank = dataclasses.replace(cfg.cost_model, variant=CostVariant.LOW_RANK,
+                                   rank=fields["rank"])
+    low = cumulative_compute(traj, low_rank, window)
+    ok = abs(full.slope - 2.0) <= 0.1 and abs(low.slope - 1.0) <= 0.1
+    return _status(ok), dict(full_slope=full.slope, low_rank_slope=low.slope)
+
+
+def _time_bound(traj, cfg, fields):
+    target = fields["bound_target"]
+    t_star = traj.first_crossing(cfg.gamma)
+    if t_star is None:
+        return FAIL, {"error": "no crossing"}
+    delta, eps = _delta_eps(cfg)
+    bound = divergence_time_bound(
+        t_star, float(traj.norms[t_star]), target, delta, eps, cfg.gamma)
+    reached = np.nonzero(traj.norms >= target)[0]
+    observed = int(reached[0]) if len(reached) else None
+    ok = observed is not None and observed <= bound
+    return _status(ok), dict(t_star=t_star, bound=bound, observed=observed)
+
+
+def _sublinear_growth(traj, cfg, fields):
+    return INFO, sublinear_growth_report(traj, max(1, traj.steps // 10), traj.steps)
+
+
+RUN_CHECKS = {"drift": _drift, "bounded": _bounded, "bursts": _bursts,
+              "fixed_point": _fixed_point, "cost_slope": _cost_slope,
+              "time_bound": _time_bound, "sublinear_growth": _sublinear_growth}
+
+
+def _collective_gain(traj, spec):
+    report = check_collective_gain(traj, spec)
+    return _status(report.passed), dict(
+        collective_mean=report.collective_mean,
+        collective_bound=report.collective_bound,
+        per_agent=[(c.mean_delta, c.bound) for c in report.per_agent])
+
+
+def _divergence(traj, spec):
+    report = predict_and_verify_divergence(spec, traj.steps, traj.seed)
+    ok = report.flagged_divergent and bool(report.growth_ok)
+    status = _status(ok) if report.rho > 1.0 else INFO
+    return status, dict(rho=report.rho, slope=report.slope,
+                        crossed=report.crossed, crossing_step=report.crossing_step)
+
+
+SWARM_CHECKS = {"collective_gain": _collective_gain, "divergence": _divergence}
 
 
 def _execute_run_job(scenario, label, overrides, seed, outdir):
-    fields = scenario.field_map(overrides)
+    fields = runner_fields(scenario, _RUN_FIELDS, overrides)
     cfg = build_run_config(scenario, overrides, seed=seed)
     traj = run(cfg)
     entry = {
@@ -182,7 +198,7 @@ def _execute_run_job(scenario, label, overrides, seed, outdir):
         "final_norm": traj.final_norm,
         "crossing_step": traj.first_crossing(cfg.gamma),
         "total_flops": traj.total_flops,
-        "checks": _run_checks(traj, scenario, fields),
+        "checks": _verdicts(RUN_CHECKS, scenario.checks, traj, cfg, fields),
     }
     for verdict in entry["checks"]:
         if "classification" in verdict["detail"]:
@@ -203,8 +219,7 @@ def _execute_run_job(scenario, label, overrides, seed, outdir):
 
 def _execute_swarm_job(scenario, label, overrides, seed, outdir):
     spec = build_swarm_spec(scenario, overrides)
-    fields = scenario.field_map(overrides)
-    horizon = _num(fields, "horizon", 100)
+    horizon = runner_fields(scenario, _SWARM_FIELDS, overrides)["horizon"]
     traj = run_swarm(spec, horizon, seed=seed)
     entry = {
         "label": label or "base",
@@ -212,7 +227,7 @@ def _execute_swarm_job(scenario, label, overrides, seed, outdir):
         "steps": traj.steps,
         "final_norms": [float(n) for n in traj.norm[:, -1]],
         "crossing_step": traj.first_crossing(spec.gamma),
-        "checks": _swarm_checks(traj, spec, scenario),
+        "checks": _verdicts(SWARM_CHECKS, scenario.checks, traj, spec),
     }
     stem = f"{_slug(label)}__seed{seed}"
     if "csv" in scenario.outputs:
@@ -232,12 +247,11 @@ def _execute_swarm_job(scenario, label, overrides, seed, outdir):
 
 
 def _execute_prototype_job(scenario, label, overrides, seed, outdir):
-    fields = scenario.field_map(overrides)
-    steps = _num(fields, "steps", 200)
-    gamma = _num(fields, "gamma", 10.0)
+    fields = runner_fields(scenario, _PROTOTYPE_FIELDS, overrides)
+    steps = fields["steps"]
     entry = {"label": label or "base", "seed": seed, "steps": steps, "checks": []}
     for mode in (PrototypeMode.OVERWRITE, PrototypeMode.CUMULATIVE):
-        history = run_prototype(mode, steps=steps, gamma=gamma, seed=seed)
+        history = run_prototype(mode, steps=steps, gamma=fields["gamma"], seed=seed)
         if "csv" in scenario.outputs:
             rows = "\n".join(f"{t},{v}" for t, v in enumerate(history))
             _atomic_write(outdir / f"{_slug(label)}__seed{seed}__{mode.value.lower()}.csv",
@@ -245,33 +259,58 @@ def _execute_prototype_job(scenario, label, overrides, seed, outdir):
         if mode is PrototypeMode.OVERWRITE:
             ok = set(history) <= {0, 1}
             entry["checks"].append(_verdict(
-                "prototype_overwrite_binary", PASS if ok else FAIL,
-                max_value=max(history)))
+                "prototype_overwrite_binary", _status(ok), {"max_value": max(history)}))
         else:
             ok = all(b >= a for a, b in zip(history, history[1:]))
             entry["checks"].append(_verdict(
-                "prototype_cumulative_monotone", PASS if ok else FAIL,
-                final_value=history[-1]))
+                "prototype_cumulative_monotone", _status(ok),
+                {"final_value": history[-1]}))
     return entry
 
 
-_EXECUTORS = {
-    "run": _execute_run_job,
-    "swarm": _execute_swarm_job,
-    "prototype": _execute_prototype_job,
+# The fields each kind's runner reads beside its built specs, parsed at load:
+# key -> (default, least allowed value).
+_RUN_FIELDS = {
+    "seed": (0, None),
+    "rank": (4, 1),                  # cost_slope's LOW_RANK comparison
+    "bound_target": (100.0, None),   # time_bound
+    "bracket_lo": (1.0, None),       # gamma-star
+    "bracket_hi": (100.0, None),
+    "iterations": (20, 1),
+    "mc_samples": (32, 1),
+    "budgets": ((), None),           # conjecture
+    "conjecture_seeds": (10, 1),
+    "budget_binding": ("gamma", None),
+}
+_SWARM_FIELDS = {"seed": (0, None), "horizon": (100, 1)}
+_PROTOTYPE_FIELDS = {"seed": (0, None), "steps": (200, 1), "gamma": (10.0, None)}
+
+
+class Kind(NamedTuple):
+    build: Callable | None   # builds one sweep point's specs, at load and per job
+    job: Callable            # runs one (sweep point, seed) pair
+    checks: dict             # check name -> verdict function
+    fields: dict             # the runner fields, as above
+
+
+# Scenario kinds. A section that names no kind is of the first.
+KINDS = {
+    "run": Kind(build_run_config, _execute_run_job, RUN_CHECKS, _RUN_FIELDS),
+    "swarm": Kind(build_swarm_spec, _execute_swarm_job, SWARM_CHECKS, _SWARM_FIELDS),
+    "prototype": Kind(None, _execute_prototype_job, {}, _PROTOTYPE_FIELDS),
 }
 
 
 def _job(args):
     scenario, label, overrides, seed, outdir = args
-    return _EXECUTORS[scenario.kind](scenario, label, overrides, seed, Path(outdir))
+    return KINDS[scenario.kind].job(scenario, label, overrides, seed, Path(outdir))
 
 
 def run_scenario(scenario: Scenario, outdir, jobs: int = 1) -> dict:
     """Execute every (sweep point, seed) pair and write the summary JSON."""
     outdir = Path(outdir) / scenario.name
     outdir.mkdir(parents=True, exist_ok=True)
-    base_seed = int(scenario.field_map().get("seed", "0") or 0)
+    base_seed = runner_fields(scenario, KINDS[scenario.kind].fields)["seed"]
     work = [
         (scenario, label, overrides, base_seed + r, str(outdir))
         for label, overrides in scenario.sweep_points()
@@ -291,14 +330,11 @@ def run_scenario(scenario: Scenario, outdir, jobs: int = 1) -> dict:
         "runs": entries,
         "failures": statuses.count(FAIL),
     }
-    if "json" in scenario.outputs:
-        _atomic_write(Path(outdir).parent / f"{scenario.name}.summary.json",
-                      json.dumps(summary, indent=2))
+    # Written whatever the outputs say, so that `report` sees every failure.
+    _atomic_write(Path(outdir).parent / f"{scenario.name}.summary.json",
+                  json.dumps(summary, indent=2))
     return summary
 
-
-AUDIT_MEASURES = ("length", "compression_gain", "power_law", "fisher",
-                  "declared_bonus", "skl", "lz_reuse")
 
 _FISHER_PROBE = (Meaning("1"), Meaning("0"))
 
@@ -310,96 +346,98 @@ def _tagged_sampler(rng):
     return Meaning(m.symbols, tag="1" if rng.random() < 0.5 else "2")
 
 
+# Measure audits: each takes the sample count and seed and returns verdicts.
+# Expected, theory-documented findings (the short-string compression edge,
+# score cancellation under the Fisher measure, dictionary-reuse slack) are
+# reported as documented counterexamples; anything else that violates a hard
+# axiom is a failure.
+
+def _audit_length(samples, seed):
+    report = audit_measure(length_measure(), samples=samples, seed=seed)
+    return [_verdict("length_axioms", _status(report.clean), json.loads(report.to_json()))]
+
+
+def _audit_compression_gain(samples, seed):
+    report = audit_measure(compression_gain_measure(), samples=samples, seed=seed)
+    verdicts = [_verdict("compression_gain_nonnegative", _status(report.o1_violations == 0),
+                         {"o1_violations": report.o1_violations})]
+    if compression_gain_measure().evaluate(Meaning("0")) == 0.0:
+        verdicts.append(_verdict("compression_gain_unit_floor", DOCUMENTED, dict(
+            example="0", value=0.0,
+            note="short strings gain nothing; opt-in unit floor available")))
+    soft = report.o2_violations + report.o3_violations + \
+        report.mii_monotone_violations
+    if soft:
+        verdicts.append(_verdict("compression_gain_tail_convention", DOCUMENTED,
+                                 {"findings": soft}))
+    return verdicts
+
+
+def _audit_power_law(samples, seed):
+    report = audit_measure(power_measure(2.0), samples=samples, seed=seed)
+    hard = report.o1_violations + report.o2_violations
+    return [_verdict("power_law_axioms", _status(hard == 0), dict(
+        o1_violations=report.o1_violations, o2_violations=report.o2_violations))]
+
+
+def _audit_fisher(samples, seed):
+    report = audit_measure(fisher_measure(0.5), samples=samples, seed=seed,
+                           probes=[_FISHER_PROBE])
+    probe_found = any(c.inputs == ("1", "0") for c in report.violations("O2"))
+    return [
+        _verdict("fisher_nonnegative", _status(report.o1_violations == 0),
+                 {"o1_violations": report.o1_violations}),
+        _verdict("fisher_score_cancellation", DOCUMENTED if probe_found else FAIL,
+                 {"o2_violations": report.o2_violations,
+                  "example": "'1' + '0' at theta0=0.5"}),
+    ]
+
+
+def _audit_declared_bonus(samples, seed):
+    spec = declared_measure({"1": 4.0, "2": 4.0},
+                            {("1", "2"): 0.5, ("2", "1"): 0.5})
+    report = audit_measure(spec, sampler=_tagged_sampler, samples=samples, seed=seed)
+    return [_verdict("declared_bonus_axioms", _status(report.clean),
+                     json.loads(report.to_json()))]
+
+
+def _audit_skl(samples, seed):
+    result = audit_skl_pairs(samples=max(10, samples // 100), seed=seed)
+    ok = result["negative_values"] == 0 and result["worst_asymmetry"] <= 1e-12
+    return [_verdict("skl_pairs", _status(ok), result)]
+
+
+def _audit_lz_reuse(samples, seed):
+    findings = audit_lz_dictionary_reuse(samples=samples, seed=seed)
+    return [_verdict("lz_dictionary_reuse", DOCUMENTED if findings else PASS, dict(
+        findings=len(findings), examples=[list(f.inputs) for f in findings[:5]]))]
+
+
+AUDITS = {"length": _audit_length, "compression_gain": _audit_compression_gain,
+          "power_law": _audit_power_law, "fisher": _audit_fisher,
+          "declared_bonus": _audit_declared_bonus, "skl": _audit_skl,
+          "lz_reuse": _audit_lz_reuse}
+
+
 def run_audit(measure: str, samples: int = 10_000, seed: int = 0) -> dict:
-    """Audit one measure and classify findings.
-
-    Expected, theory-documented findings (the short-string compression edge,
-    score cancellation under the Fisher measure, dictionary-reuse slack) are
-    reported as documented counterexamples; anything else that violates a
-    hard axiom is a failure.
-    """
-    doc = {"schema": SUMMARY_SCHEMA, "audit": measure, "samples": samples,
-           "verdicts": []}
-    verdicts = doc["verdicts"]
-
-    if measure == "length":
-        report = audit_measure(length_measure(), samples=samples, seed=seed)
-        verdicts.append(_verdict(
-            "length_axioms", PASS if report.clean else FAIL,
-            **json.loads(report.to_json())))
-    elif measure == "compression_gain":
-        report = audit_measure(compression_gain_measure(), samples=samples, seed=seed)
-        verdicts.append(_verdict(
-            "compression_gain_nonnegative",
-            PASS if report.o1_violations == 0 else FAIL,
-            o1_violations=report.o1_violations))
-        if compression_gain_measure().evaluate(Meaning("0")) == 0.0:
-            verdicts.append(_verdict(
-                "compression_gain_unit_floor", DOCUMENTED,
-                example="0", value=0.0,
-                note="short strings gain nothing; opt-in unit floor available"))
-        soft = report.o2_violations + report.o3_violations + \
-            report.mii_monotone_violations
-        if soft:
-            verdicts.append(_verdict(
-                "compression_gain_tail_convention", DOCUMENTED,
-                findings=soft))
-    elif measure == "power_law":
-        report = audit_measure(power_measure(2.0), samples=samples, seed=seed)
-        hard = report.o1_violations + report.o2_violations
-        verdicts.append(_verdict(
-            "power_law_axioms", PASS if hard == 0 else FAIL,
-            o1_violations=report.o1_violations,
-            o2_violations=report.o2_violations))
-    elif measure == "fisher":
-        report = audit_measure(fisher_measure(0.5), samples=samples, seed=seed,
-                               probes=[_FISHER_PROBE])
-        verdicts.append(_verdict(
-            "fisher_nonnegative", PASS if report.o1_violations == 0 else FAIL,
-            o1_violations=report.o1_violations))
-        probe_found = any(
-            c.inputs == ("1", "0") for c in report.violations("O2"))
-        verdicts.append(_verdict(
-            "fisher_score_cancellation",
-            DOCUMENTED if probe_found else FAIL,
-            o2_violations=report.o2_violations,
-            example="'1' + '0' at theta0=0.5"))
-    elif measure == "declared_bonus":
-        spec = declared_measure({"1": 4.0, "2": 4.0},
-                                {("1", "2"): 0.5, ("2", "1"): 0.5})
-        report = audit_measure(spec, sampler=_tagged_sampler,
-                               samples=samples, seed=seed)
-        verdicts.append(_verdict(
-            "declared_bonus_axioms", PASS if report.clean else FAIL,
-            **json.loads(report.to_json())))
-    elif measure == "skl":
-        result = audit_skl_pairs(samples=max(10, samples // 100), seed=seed)
-        ok = result["negative_values"] == 0 and result["worst_asymmetry"] <= 1e-12
-        verdicts.append(_verdict("skl_pairs", PASS if ok else FAIL, **result))
-    elif measure == "lz_reuse":
-        findings = audit_lz_dictionary_reuse(samples=samples, seed=seed)
-        status = DOCUMENTED if findings else PASS
-        verdicts.append(_verdict(
-            "lz_dictionary_reuse", status, findings=len(findings),
-            examples=[list(f.inputs) for f in findings[:5]]))
-    else:
-        raise ValueError(
-            f"unknown measure {measure!r}; expected one of {AUDIT_MEASURES}")
-    return doc
+    """Audit one measure (a key of AUDITS) and classify its findings."""
+    audit = AUDITS[measure]
+    return {"schema": SUMMARY_SCHEMA, "audit": measure, "samples": samples,
+            "verdicts": audit(samples, seed)}
 
 
 def run_gamma_star(scenario: Scenario) -> dict:
     from .config import build_channel
 
-    fields = scenario.field_map()
+    fields = runner_fields(scenario, _RUN_FIELDS)
     channel = build_channel(scenario)
     estimate = estimate_gamma_star(
         channel,
-        lo=_num(fields, "bracket_lo", 1.0),
-        hi=_num(fields, "bracket_hi", 100.0),
-        iterations=_num(fields, "iterations", 20),
-        mc_samples=_num(fields, "mc_samples", 32),
-        seed=_num(fields, "seed", 0),
+        lo=fields["bracket_lo"],
+        hi=fields["bracket_hi"],
+        iterations=fields["iterations"],
+        mc_samples=fields["mc_samples"],
+        seed=fields["seed"],
     )
     return {
         "schema": SUMMARY_SCHEMA,
@@ -420,23 +458,22 @@ def conjecture_experiment(scenario: Scenario) -> dict:
     fit is ordinary least squares of mean crossing time against log budget;
     no verdict is attached.
     """
-    fields = scenario.field_map()
-    budgets = [float(x) for x in fields.get("budgets", "").split(",") if x.strip()]
+    fields = runner_fields(scenario, _RUN_FIELDS)
+    budgets = fields["budgets"]
     if len(set(budgets)) < 3:
         raise ValueError("the budget grid needs at least 3 distinct values")
-    seeds = _num(fields, "conjecture_seeds", 10)
-    binding = fields.get("budget_binding", "gamma")
-    base_seed = _num(fields, "seed", 0)
+    if min(budgets) <= 0.0:
+        raise ValueError("budgets must be positive")
 
     points = []
     excluded = 0
     for budget in budgets:
         overrides = {}
-        if binding == "gamma":
+        if fields["budget_binding"] == "gamma":
             overrides["gamma"] = repr(budget)
         crossings = []
-        for r in range(seeds):
-            cfg = build_run_config(scenario, overrides, seed=base_seed + r)
+        for r in range(fields["conjecture_seeds"]):
+            cfg = build_run_config(scenario, overrides, seed=fields["seed"] + r)
             traj = run(cfg)
             t_star = traj.first_crossing(cfg.gamma)
             if t_star is None:

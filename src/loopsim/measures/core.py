@@ -238,13 +238,13 @@ def compression_gain_measure(alphabet_size: int = 2) -> MeasureSpec:
     )
 
 
-def power_measure(exponent: float) -> MeasureSpec:
+def power_measure(exponent: float = 2.0) -> MeasureSpec:
     if exponent <= 1.0:
         raise ValueError("power-law exponent must exceed 1")
     return MeasureSpec(MeasureKind.POWER_LAW, exponent=exponent)
 
 
-def fisher_measure(theta0: float) -> MeasureSpec:
+def fisher_measure(theta0: float = 0.5) -> MeasureSpec:
     if not 0.0 < theta0 < 1.0:
         raise ValueError("theta0 must lie in (0, 1)")
     return MeasureSpec(MeasureKind.FISHER, theta0=theta0)

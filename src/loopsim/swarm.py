@@ -110,31 +110,6 @@ def activity_matrix(spec: SwarmSpec, horizon: int, seed: int) -> np.ndarray:
     return rng.random((horizon, spec.k)) < spec.lam
 
 
-def swarm_step(
-    norms: np.ndarray,
-    active: np.ndarray,
-    spec: SwarmSpec,
-    bases: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One broadcast tick: returns (new norms, per-agent increments).
-
-    ``bases`` are the broadcast base gains this tick (constant in STATIC
-    mode, the previous increments in RELAY mode). Inactive agents add zero.
-
-    This is the closed-form arithmetic; run_swarm routes its STATIC gains
-    through the declared-bonus measure instead, and the two must agree.
-    """
-    if spec.gain_mode is GainMode.STATIC:
-        gain = (1.0 + spec.mean_bonus) * float(bases.sum())
-        increments = np.where(active, spec.delta * gain, 0.0)
-    else:
-        one_plus = 1.0 + spec.beta
-        np.fill_diagonal(one_plus, 0.0)
-        gains = one_plus @ bases
-        increments = np.where(active, spec.delta * gains, 0.0)
-    return norms + increments, increments
-
-
 @dataclass
 class SwarmTrajectory:
     spec: SwarmSpec

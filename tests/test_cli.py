@@ -1,10 +1,13 @@
 """Config parsing, artifact layout, CLI verbs, and exit codes."""
 
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsim.cli import (
     ScenarioParseError,
@@ -14,7 +17,9 @@ from loopsim.cli import (
     parse_scenarios,
     run_scenario,
 )
+from loopsim.cli.config import VALID_OUTPUTS, Scenario
 from loopsim.cli.main import main
+from loopsim.cli.runner import AUDITS, KINDS, run_audit
 
 MINIMAL = """
 [meta]
@@ -91,11 +96,51 @@ gamma = 10
             parse_scenarios(bad)
 
 
+def _field_text(draw, default, least):
+    """A valid text for a runner field of the given default and least value."""
+    if isinstance(default, str):
+        return draw(st.sampled_from(["gamma", "none"]))
+    if isinstance(default, tuple):
+        values = draw(st.lists(st.floats(0.5, 1e4), min_size=3, max_size=6))
+        return ",".join(map(repr, values))
+    if isinstance(default, int):
+        return str(draw(st.integers(least or 0, 10**6)))
+    return repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+
+
+@st.composite
+def scenario_lists(draw):
+    """Valid scenarios: builtins with runner fields, checks, outputs, repeats
+    and a seed sweep drawn from their kind's field and check tables."""
+    scenarios = []
+    for i in range(draw(st.integers(1, 4))):
+        base = draw(st.sampled_from(builtin_scenarios()))
+        kind = KINDS[base.kind]
+        fields = dict(base.fields)
+        for key, (default, least) in kind.fields.items():
+            if draw(st.booleans()):
+                fields[key] = _field_text(draw, default, least)
+        seeds = draw(st.lists(st.integers(0, 999), max_size=3))
+        scenarios.append(Scenario(
+            name=f"s{i}", kind=base.kind, fields=tuple(sorted(fields.items())),
+            sweep=(("seed", tuple(map(str, seeds))),) if seeds else (),
+            repeat=draw(st.integers(1, 3)),
+            outputs=tuple(draw(st.lists(st.sampled_from(VALID_OUTPUTS), unique=True))),
+            checks=tuple(draw(st.lists(st.sampled_from(sorted(kind.checks)),
+                                       unique=True)) if kind.checks else ())))
+    return scenarios
+
+
 class TestRoundTrip:
     def test_builtin_scenarios_round_trip(self):
         builtins = builtin_scenarios()
         text = emit_scenarios(builtins)
         assert parse_scenarios(text) == builtins
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario_lists())
+    def test_emitted_scenarios_parse_back(self, scenarios):
+        assert parse_scenarios(emit_scenarios(scenarios)) == scenarios
 
 
 class TestArtifacts:
@@ -161,6 +206,53 @@ class TestArtifacts:
         serial = run_scenario(scenario, tmp_path / "serial", jobs=1)
         parallel = run_scenario(scenario, tmp_path / "parallel", jobs=2)
         assert serial["runs"] == parallel["runs"]
+
+
+# One run per check: the builtin scenario it starts from, field overrides,
+# and the status the check must give.
+CHECK_RUNS = {
+    "drift": ("drift", {}, "PASS"),
+    "bounded": ("bounded", {"horizon": "2000"}, "PASS"),
+    "bursts": ("bursts", {}, "PASS"),
+    "fixed_point": ("tokens", {"temperature": "0.0"}, "INFO"),
+    "cost_slope": ("cost_slope", {}, "PASS"),
+    "time_bound": ("finite_time", {}, "PASS"),
+    "sublinear_growth": ("bounded", {"horizon": "2000"}, "INFO"),
+    "collective_gain": ("swarm_sync", {}, "PASS"),
+    "divergence": ("swarm_relay", {}, "PASS"),
+}
+
+
+class TestCheckTables:
+    @pytest.mark.parametrize(
+        "check", [name for kind in KINDS.values() for name in kind.checks])
+    def test_each_check_runs(self, tmp_path, check):
+        base_name, overrides, expected = CHECK_RUNS[check]
+        base = [s for s in builtin_scenarios() if s.name == base_name][0]
+        scenario = dataclasses.replace(
+            base, fields=tuple(sorted({**dict(base.fields), **overrides}.items())),
+            sweep=(), repeat=1, outputs=("json",), checks=(check,))
+        summary = run_scenario(scenario, tmp_path)
+        verdict, = summary["runs"][0]["checks"]
+        assert (verdict["name"], verdict["status"]) == (check, expected)
+
+    @pytest.mark.parametrize("check,old,new", [
+        ("bounded", "", ""),                   # starts above gamma
+        ("bursts", "", ""),                    # not a WINDOWED run
+        ("time_bound", "seed = 1", "seed = 1\nbound_target = 5"),  # below the crossing
+        ("sublinear_growth", "horizon = 50", "horizon = 1"),
+    ])
+    def test_rejected_run_fails_naming_the_reason(self, tmp_path, check, old, new):
+        text = MINIMAL.replace("checks = drift", f"checks = {check}").replace(old, new)
+        summary = run_scenario(parse_scenarios(text)[0], tmp_path)
+        verdict, = summary["runs"][0]["checks"]
+        assert verdict["status"] == "FAIL" and verdict["detail"]["error"]
+
+    @pytest.mark.parametrize("measure", list(AUDITS))
+    def test_each_audit_runs(self, measure):
+        doc = run_audit(measure, samples=200, seed=1)
+        assert doc["audit"] == measure and doc["verdicts"]
+        assert all(v["status"] != "FAIL" for v in doc["verdicts"])
 
 
 class TestBuiltins:
@@ -306,6 +398,34 @@ class TestCliVerbs:
         result = CliRunner().invoke(main, ["report", str(tmp_path)])
         assert result.exit_code == 1
         assert "0 verdicts" in result.output
+
+    @pytest.mark.parametrize("verb,field,text", [
+        ("run", "bound_target", MINIMAL.replace(
+            "checks = drift", "checks = time_bound\nbound_target = abc")),
+        ("run", "rank", MINIMAL.replace(
+            "checks = drift", "checks = cost_slope\nrank = 0")),
+        ("run", "horizon", "[meta]\nschema = 1\n\n[scenario:tiny]\nkind = swarm\n"
+                           "beta = 0 0.5; 0.5 0\ngamma = 100\nhorizon = 0\n"),
+        ("gamma-star", "iterations", MINIMAL + "bracket_lo = 1\niterations = 0\n"),
+    ], ids=["bound_target", "rank", "swarm_horizon", "iterations"])
+    def test_bad_runner_field_exits_two_naming_it(self, tmp_path, verb, field, text):
+        config = tmp_path / "bad.ini"
+        config.write_text(text)
+        result = CliRunner().invoke(
+            main, [verb, str(config), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert f"scenario 'tiny', field {field!r}" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_summary_is_written_without_json_output(self, tmp_path):
+        config = tmp_path / "fail.ini"
+        config.write_text(MINIMAL.replace("csv,json,svg", "csv")
+                          .replace("initial_norm = 11", "initial_norm = 0"))
+        CliRunner().invoke(main, ["run", str(config), "--out", str(tmp_path / "out")])
+        assert (tmp_path / "out" / "tiny.summary.json").exists()
+        result = CliRunner().invoke(main, ["report", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert "drift" in result.output and "FAIL" in result.output
 
     def test_report_flags_failures(self, tmp_path):
         config = tmp_path / "fail.ini"

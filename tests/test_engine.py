@@ -240,6 +240,11 @@ class TestRun:
         with pytest.raises(ValueError):
             abstract_gated(0.0, 10.0, 10.0, 0, 5, 1.0, horizon=0)
 
+    def test_negative_initial_norm_disallowed(self):
+        # step() refuses a negative context, so run() must not start from one.
+        with pytest.raises(ValueError, match="initial_norm"):
+            abstract_gated(-5.0, 10.0, 10.0, 0, 5, 1.0, horizon=10)
+
     def test_deterministic_run_is_bit_identical(self):
         cfg = RunConfig(
             channel=ChannelSpec(psi_kind=PsiKind.IDENTITY, noise_len=8, seed=5,

@@ -17,7 +17,6 @@ from loopsim.swarm import (
     predict_and_verify_divergence,
     run_swarm,
     spectral_radius,
-    swarm_step,
 )
 
 
@@ -30,38 +29,45 @@ def uniform_spec(k=2, beta=0.5, lam=1.0, schedule=Schedule.SYNCHRONOUS,
 
 
 class TestSwarmStep:
+    """One tick of run_swarm against its closed form: an active agent gains
+    delta * (1 + mean bonus) * k * base, an inactive one nothing."""
+
     def test_pair_equality_case(self):
         spec = uniform_spec()
-        norms = np.zeros(2)
-        bases = np.full(2, 4.0)
-        new, inc = swarm_step(norms, np.array([True, True]), spec, bases)
-        assert list(inc) == [12.0, 12.0]
-        assert list(new) == [12.0, 12.0]
+        traj = run_swarm(spec, horizon=1, seed=0)
+        delta, beta, k, base = 1.0, 0.5, 2, 4.0
+        assert list(traj.delta[:, 0]) == [delta * (1 + beta) * k * base] * 2
+        assert list(traj.norm[:, 1]) == [12.0, 12.0]
 
     def test_inactive_agent_gains_nothing(self):
         spec = uniform_spec(schedule=Schedule.BERNOULLI_ASYNC, lam=0.5)
-        _, inc = swarm_step(np.zeros(2), np.array([True, False]), spec,
-                            np.full(2, 4.0))
-        assert inc[0] == 12.0 and inc[1] == 0.0
+        traj = run_swarm(spec, horizon=200, seed=1)
+        assert traj.active.any() and not traj.active.all()
+        assert np.array_equal(traj.delta, np.where(traj.active, 12.0, 0.0))
 
     def test_zero_bonus_three_agents_is_additive(self):
         spec = uniform_spec(k=3, beta=0.0)
-        _, inc = swarm_step(np.zeros(3), np.ones(3, dtype=bool), spec,
-                            np.full(3, 4.0))
-        assert list(inc) == [12.0, 12.0, 12.0]  # 3 * base * delta
+        traj = run_swarm(spec, horizon=10, seed=2)
+        assert np.all(traj.delta == 3 * 4.0 * 1.0)  # k * base * delta
 
     def test_step_arithmetic_matches_measure_backed_run(self):
-        # swarm_step uses the closed form, run_swarm the declared-bonus
-        # measure; iterating the former must reproduce the latter exactly.
-        for spec in (uniform_spec(k=3, beta=0.5),
-                     uniform_spec(schedule=Schedule.BERNOULLI_ASYNC, lam=0.6)):
+        # run_swarm takes its STATIC gain from the declared-bonus measure;
+        # every tick must equal the closed form exactly.
+        for spec, k, mean_bonus in (
+                (uniform_spec(k=3, beta=0.5), 3, 0.5),
+                (uniform_spec(schedule=Schedule.BERNOULLI_ASYNC, lam=0.6), 2, 0.5)):
             traj = run_swarm(spec, horizon=50, seed=11)
-            norms = np.zeros(spec.k)
-            bases = np.full(spec.k, spec.base_gain)
-            for t in range(50):
-                norms, inc = swarm_step(norms, traj.active[:, t], spec, bases)
-                assert np.array_equal(inc, traj.delta[:, t])
-            assert np.array_equal(norms, traj.norm[:, -1])
+            gain = spec.delta * (1 + mean_bonus) * k * spec.base_gain
+            assert np.array_equal(traj.delta, np.where(traj.active, gain, 0.0))
+            assert np.array_equal(traj.norm[:, -1], traj.active.sum(axis=1) * gain)
+
+    def test_relay_broadcasts_the_previous_increments(self):
+        # RELAY: each agent's base is the other's last increment, so a
+        # synchronous pair gains delta * base * (1 + beta) ** (t + 1).
+        spec = uniform_spec(mode=GainMode.RELAY)
+        traj = run_swarm(spec, horizon=20, seed=0)
+        for t in range(20):
+            assert list(traj.delta[:, t]) == [4.0 * 1.5 ** (t + 1)] * 2
 
 
 class TestRunSwarm:
