@@ -20,10 +20,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
-from .meanings import Meaning
+from .meanings import Meaning, random_bits
 
 _EPS_CEILING = 1.0 - 1e-9
 _TAG_DIGEST_BITS = 16
@@ -152,55 +153,36 @@ class ChannelSpec:
         return self.temperature == 0.0 and self.mask_rate.is_zero
 
 
-@dataclass(frozen=True)
-class NoiseDraw:
-    symbols: str
-    source_t: int
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
-def _noise_key(spec: ChannelSpec) -> bytes:
-    return hashlib.blake2b(
-        str(derive_seed(spec.seed, "noise")).encode(), digest_size=32
-    ).digest()
+@cache
+def _noise_key(seed: int) -> bytes:
+    return hashlib.blake2b(str(derive_seed(seed, "noise")).encode(), digest_size=32).digest()
 
 
 def _bits(key: bytes, payload: bytes, count: int) -> str:
-    chunks: list[str] = []
-    produced = 0
-    block = 0
-    while produced < count:
-        h = hashlib.blake2b(payload + block.to_bytes(4, "little"), key=key, digest_size=64)
-        chunk = format(int.from_bytes(h.digest(), "big"), "0512b")
-        chunks.append(chunk)
-        produced += 512
-        block += 1
-    return "".join(chunks)[:count]
+    """The first ``count`` bits of the keyed blake2b blocks 0, 1, ... of payload."""
+    nbytes = -(-count // 8)
+    blocks = b"".join(hashlib.blake2b(payload + b.to_bytes(4, "little"), key=key, digest_size=64)
+                      .digest() for b in range(-(-nbytes // 64)))
+    return format(int.from_bytes(blocks[:nbytes], "big"), f"0{8 * nbytes}b")[:count]
 
 
-def meaning_digest(symbols: str, nbytes: int = 8) -> bytes:
-    return hashlib.blake2b(symbols.encode(), digest_size=nbytes).digest()
+def meaning_digest(symbols: str) -> bytes:
+    return hashlib.blake2b(symbols.encode(), digest_size=8).digest()
 
 
-def noise_from_digest(prev_digest: bytes, t: int, spec: ChannelSpec) -> NoiseDraw:
-    """Noise draw keyed by a precomputed digest of the previous output."""
+def noise_from_digest(prev_digest: bytes, t: int, spec: ChannelSpec) -> str:
+    """Noise symbols keyed by a precomputed digest of the previous output."""
     if t < 0:
         raise ValueError("step index must be nonnegative")
     if spec.temperature == 0.0:
-        return NoiseDraw("0" * spec.noise_len, t)
-    payload = prev_digest + t.to_bytes(8, "little", signed=False)
-    return NoiseDraw(_bits(_noise_key(spec), payload, spec.noise_len), t)
+        return "0" * spec.noise_len
+    return _bits(_noise_key(spec.seed), prev_digest + t.to_bytes(8, "little"), spec.noise_len)
 
 
-def draw_self_noise(prev: Meaning, t: int, spec: ChannelSpec) -> NoiseDraw:
-    """Noise draw keyed by the agent's own previous output.
-
-    Fresh entropy per step at positive temperature, the all-zero string at
-    temperature 0; reproducible per (seed, prev, t) either way.
-    """
-    return noise_from_digest(meaning_digest(prev.symbols), t, spec)
+def draw_self_noise(prev: Meaning, t: int, spec: ChannelSpec) -> Meaning:
+    """Noise keyed by the agent's own previous output: fresh bits per step at
+    positive temperature, all zeros at temperature 0."""
+    return Meaning(noise_from_digest(meaning_digest(prev.symbols), t, spec))
 
 
 def mask_stream(spec: ChannelSpec, horizon: int) -> np.ndarray:
@@ -216,12 +198,6 @@ def mask_u01(spec: ChannelSpec, t: int) -> float:
     return float(np.random.Generator(bg).random())
 
 
-def mask_fires(spec: ChannelSpec, t: int) -> bool:
-    if spec.mask_rate.is_zero:
-        return False
-    return mask_u01(spec, t) < epsilon_at(max(t, 1), spec.mask_rate)
-
-
 def tile(symbols: str, length: int) -> str:
     if length <= 0 or not symbols:
         return ""
@@ -229,9 +205,10 @@ def tile(symbols: str, length: int) -> str:
     return (symbols * reps)[:length]
 
 
-def _context_fingerprint(c) -> str:
-    source = getattr(c, "symbols", "") or repr(getattr(c, "norm", 0.0))
-    digest = hashlib.blake2b(source.encode(), digest_size=_TAG_DIGEST_BITS // 8)
+def _context_fingerprint(symbols: str, norm: float) -> str:
+    """16 bits of the context's symbols, or of the norm's repr when it has none."""
+    digest = hashlib.blake2b((symbols or repr(norm)).encode(),
+                             digest_size=_TAG_DIGEST_BITS // 8)
     return format(int.from_bytes(digest.digest(), "big"), f"0{_TAG_DIGEST_BITS}b")
 
 
@@ -256,37 +233,30 @@ def psi_output_length(spec: ChannelSpec, norm: float, t: int) -> int:
     raise ValueError(kind)
 
 
-def apply_psi(n: NoiseDraw, c, spec: ChannelSpec, masked: bool | None = None) -> Meaning:
-    """Map a noise draw and context to a meaning, then apply the masking valve.
-
-    ``c`` needs ``norm`` and (for CONCRETE contexts) ``symbols`` attributes.
-    ``masked`` overrides the valve decision; by default it is drawn from the
-    channel's own coin at the draw's step index.
-    """
-    if masked is None:
-        masked = mask_fires(spec, n.source_t)
+def apply_psi(noise: str, symbols: str, norm: float, t: int, spec: ChannelSpec,
+              masked: bool) -> str:
+    """The meaning of the noise at step t in the context (symbols, norm), after
+    the masking valve: a masked step emits the empty string."""
     if masked:
-        return Meaning("")
+        return ""
     kind = spec.psi_kind
     if kind is PsiKind.IDENTITY:
-        return Meaning(n.symbols)
+        return noise
     if kind is PsiKind.TAGGED_INJECTIVE:
-        return Meaning(n.symbols + _context_fingerprint(c))
+        return noise + _context_fingerprint(symbols, norm)
     if kind is PsiKind.CONSTANT:
-        return Meaning(spec.const_meaning)
-    length = psi_output_length(spec, getattr(c, "norm", 0.0), n.source_t)
-    return Meaning(tile(n.symbols, length))
+        return spec.const_meaning
+    return tile(noise, psi_output_length(spec, norm, t))
 
 
-def _iid_noise(spec: ChannelSpec, rng: np.random.Generator) -> NoiseDraw:
+def _iid_noise(spec: ChannelSpec, rng: np.random.Generator) -> str:
     if spec.temperature == 0.0:
-        return NoiseDraw("0" * spec.noise_len, 0)
-    bits = rng.integers(0, 2, size=spec.noise_len)
-    return NoiseDraw("".join("1" if b else "0" for b in bits), 0)
+        return "0" * spec.noise_len
+    return random_bits(rng, spec.noise_len)
 
 
 def estimate_collision_rate(spec: ChannelSpec, c, trials: int, seed: int = 0) -> float:
-    """Fraction of i.i.d. noise pairs whose meanings coincide (valve included).
+    """Fraction of i.i.d. noise pairs whose meanings in context c coincide (valve included).
 
     The masking coins are drawn i.i.d. per trial at the schedule's entry rate
     (t = 1), so with an injective base map the rate is eps^2 + (1-eps)^2 * p.
@@ -295,16 +265,12 @@ def estimate_collision_rate(spec: ChannelSpec, c, trials: int, seed: int = 0) ->
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(derive_seed(seed, "collision"))
     eps = epsilon_at(1, spec.mask_rate)
-    collisions = 0
-    for _ in range(trials):
-        pair = []
-        for _ in range(2):
-            draw = _iid_noise(spec, rng)
-            masked = bool(eps > 0.0 and rng.random() < eps)
-            pair.append(apply_psi(draw, c, spec, masked=masked))
-        if pair[0].symbols == pair[1].symbols:
-            collisions += 1
-    return collisions / trials
+
+    def meaning() -> str:  # the noise, then the valve's coin
+        noise = _iid_noise(spec, rng)
+        return apply_psi(noise, c.symbols, c.norm, 0, spec, eps > 0.0 and rng.random() < eps)
+
+    return sum(meaning() == meaning() for _ in range(trials)) / trials
 
 
 def entropy_estimate(spec: ChannelSpec, samples: int, seed: int = 0) -> float:
@@ -312,7 +278,7 @@ def entropy_estimate(spec: ChannelSpec, samples: int, seed: int = 0) -> float:
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(derive_seed(seed, "entropy"))
-    counts = Counter(_iid_noise(spec, rng).symbols for _ in range(samples))
+    counts = Counter(_iid_noise(spec, rng) for _ in range(samples))
     total = sum(counts.values())
     entropy = 0.0
     for count in counts.values():

@@ -216,6 +216,14 @@ def build_swarm_spec(scenario: Scenario, overrides=None) -> SwarmSpec:
     return _make(SwarmSpec, name, given)
 
 
+# The scenario keys each kind's spec builder reads, beside its runner fields.
+_SPEC_KEYS = {
+    build_run_config: {*_CHANNEL, *_MASK, *_UPDATE, *_COST, *_BUDGET, *_RUN,
+                       "measure_kind", *(k for _, keys in _MEASURES.values() for k in keys)},
+    build_swarm_spec: {*_SWARM, "beta", "lam"},
+}
+
+
 def runner_fields(scenario: Scenario, table: dict, overrides=None) -> dict:
     """The fields of `table` (key -> (default, least allowed value)), parsed.
 
@@ -248,6 +256,11 @@ def _validate(scenario: Scenario) -> None:
     if kind is None:
         raise ScenarioValidationError(
             f"scenario {scenario.name!r}: unknown kind {scenario.kind!r}")
+    unknown = ((dict(scenario.fields).keys() | dict(scenario.sweep).keys())
+               - kind.fields.keys() - _SPEC_KEYS.get(kind.build, set()))
+    if unknown:
+        raise ScenarioValidationError(
+            f"scenario {scenario.name!r}, field {min(unknown)!r}: unknown field")
     for check in scenario.checks:
         if check not in kind.checks:
             raise ScenarioValidationError(

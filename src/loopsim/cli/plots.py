@@ -22,8 +22,9 @@ def _scale(values, lo, hi, out_lo, out_hi):
 
 def svg_line_plot(series, threshold: float | None = None,
                   title: str = "") -> str:
-    """An SVG document plotting one value series against its index."""
-    values = np.asarray(series, dtype=float).tolist() or [0.0]
+    """An SVG document plotting a series' finite prefix against its index."""
+    values = np.asarray(series, dtype=float)
+    values = values[:np.isfinite(np.append(values, np.nan)).argmin()].tolist() or [0.0]
     bounds = values + ([threshold] if threshold is not None else [])
     lo, hi = min(min(bounds), 0.0), max(bounds)
     xs = _scale(np.arange(len(values)), 0, max(len(values) - 1, 1), MARGIN, WIDTH - MARGIN)

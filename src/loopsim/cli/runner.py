@@ -310,9 +310,10 @@ def run_scenario(scenario: Scenario, outdir, jobs: int = 1) -> dict:
     """Execute every (sweep point, seed) pair and write the summary JSON."""
     outdir = Path(outdir) / scenario.name
     outdir.mkdir(parents=True, exist_ok=True)
-    base_seed = runner_fields(scenario, KINDS[scenario.kind].fields)["seed"]
+    fields = KINDS[scenario.kind].fields
     work = [
-        (scenario, label, overrides, base_seed + r, str(outdir))
+        (scenario, label, overrides,
+         runner_fields(scenario, fields, overrides)["seed"] + r, str(outdir))
         for label, overrides in scenario.sweep_points()
         for r in range(scenario.repeat)
     ]

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..channel import ChannelSpec, NoiseDraw, PsiKind, apply_psi, derive_seed
+from ..channel import ChannelSpec, PsiKind, apply_psi, derive_seed
+from ..meanings import Meaning, random_bits
 from ..measures import MeasureSpec, length_measure
 from .core import (
     EVENT_BUDGET_FROZEN,
     EVENT_BURST_HIT_W,
     EVENT_MASKED,
-    Mode,
-    ContextState,
     Trajectory,
     UpdateKind,
 )
@@ -169,10 +168,8 @@ def estimate_gamma_star(
     probes = 0
 
     def gain_at(norm: float) -> float:
-        bits = rng.integers(0, 2, size=channel.noise_len)
-        draw = NoiseDraw("".join("1" if b else "0" for b in bits), 0)
-        ctx = ContextState(Mode.ABSTRACT, norm=norm)
-        return measure.evaluate(apply_psi(draw, ctx, channel, masked=False))
+        noise = random_bits(rng, channel.noise_len)
+        return measure.evaluate(Meaning(apply_psi(noise, "", norm, 0, channel, False)))
 
     def always_gains(x: float) -> bool:
         nonlocal probes

@@ -25,8 +25,8 @@ from ..channel import (
     apply_psi,
     epsilon_array,
     epsilon_at,
-    mask_fires,
     mask_stream,
+    mask_u01,
     meaning_digest,
     noise_from_digest,
     psi_output_length,
@@ -34,6 +34,7 @@ from ..channel import (
 )
 from ..columns import write_csv
 from ..cost import CostModel, CostVariant, flops_array, flops_at
+from ..meanings import Meaning
 from ..measures import MeasureSpec, length_measure
 
 
@@ -296,13 +297,12 @@ def _budget_tripped(cfg: RunConfig, norm: float, cum_flops: float) -> bool:
     return False
 
 
-def _transition(norm, symbols, t, cfg, masked, cum_flops, prev_digest=None):
+def _transition(norm, symbols, t, cfg, masked, cum_flops, digest):
     """Returns (new_norm, new_symbols, omega, delta, event_bits).
 
-    ABSTRACT passes ``symbols=None`` (and gets None back): the meaning is
-    reduced to its length. ``prev_digest`` short-circuits hashing the context
-    for the noise draw; callers may pass it only when the symbols cannot have
-    been truncated.
+    ABSTRACT passes ``symbols=None`` and ``digest=None`` (and gets None
+    back): the meaning is reduced to its length. CONCRETE passes the
+    `meaning_digest` of ``symbols``, which keys the noise draw.
     """
     rule = cfg.update
     kind = rule.kind
@@ -317,19 +317,16 @@ def _transition(norm, symbols, t, cfg, masked, cum_flops, prev_digest=None):
         if symbols is not None:
             keep = int(rule.drop_to)
             symbols = symbols[len(symbols) - keep:] if keep else ""
-            prev_digest = None
+            digest = meaning_digest(symbols)
 
     if symbols is None:
         mlen = 0 if masked else psi_output_length(cfg.channel, norm, t)
         omega = cfg.measure.evaluate_length(mlen)
     else:
-        if prev_digest is None:
-            prev_digest = meaning_digest(symbols)
-        noise = noise_from_digest(prev_digest, t, cfg.channel)
-        m = apply_psi(noise, ContextState(Mode.CONCRETE, norm, symbols),
-                      cfg.channel, masked=masked)
+        noise = noise_from_digest(digest, t, cfg.channel)
+        m = apply_psi(noise, symbols, norm, t, cfg.channel, masked)
         mlen = len(m)
-        omega = cfg.measure.evaluate(m)
+        omega = cfg.measure.evaluate(Meaning(m))
 
     if kind is UpdateKind.OVERWRITE:
         new_norm = float(mlen)
@@ -341,11 +338,11 @@ def _transition(norm, symbols, t, cfg, masked, cum_flops, prev_digest=None):
 
     if symbols is not None:
         if kind is UpdateKind.OVERWRITE:
-            symbols = m.symbols
+            symbols = m
         elif kind is UpdateKind.APPEND:
-            symbols += m.symbols
+            symbols += m
         elif int(new_norm) > len(symbols):
-            symbols += tile(m.symbols, int(new_norm) - len(symbols))
+            symbols += tile(m, int(new_norm) - len(symbols))
     return new_norm, symbols, omega, new_norm - entry_norm, events
 
 
@@ -356,12 +353,13 @@ def step(state: ContextState, t: int, cfg: RunConfig,
     ``cum_flops`` is the compute already spent, consulted by the budget gate.
     """
     spec = cfg.channel
-    masked = mask_fires(spec, t)
     eps_t = 0.0 if spec.mask_rate.is_zero else epsilon_at(max(t, 1), spec.mask_rate)
+    masked = eps_t > 0.0 and mask_u01(spec, t) < eps_t
     flops = flops_at(state.norm, cfg.cost_model)
     symbols = state.symbols if cfg.mode is Mode.CONCRETE else None
+    digest = None if symbols is None else meaning_digest(symbols)
     new_norm, new_symbols, omega, delta, events = _transition(
-        state.norm, symbols, t, cfg, masked, cum_flops)
+        state.norm, symbols, t, cfg, masked, cum_flops, digest)
     new_state = replace(state, norm=new_norm, symbols=new_symbols or "")
     return new_state, StepRecord(
         t, state.norm, omega, delta, eps_t, flops, event_names(events))
@@ -431,7 +429,7 @@ def _run_steps(cfg, masked_a, columns, start=None):
     symbols = cfg.initial_symbols if concrete else None
     can_stop = concrete and cfg.stop_on_fixed_point and spec.deterministic
     growing = concrete and cfg.update.kind in _GROWING
-    # Rolling context hash: valid while the symbol sequence only grows.
+    # Rolling context hash: fed the new symbols while the sequence only grows.
     hasher = hashlib.blake2b(symbols.encode(), digest_size=8) if concrete else None
     initial_digest = hasher.digest() if concrete else None
     digests: list[bytes] | None = [] if concrete else None
@@ -442,7 +440,7 @@ def _run_steps(cfg, masked_a, columns, start=None):
         masked = bool(masked_a[t]) if masked_a is not None else False
         new_norm, new_symbols, omega, delta, events = _transition(
             norm, symbols, t, cfg, masked, cum_flops,
-            hasher.digest() if growing else None)
+            hasher.digest() if concrete else None)
         flops = (a_attn * norm * norm + a_ffn * norm) if full_cost else flops_at(norm, model)
         cum_flops += flops
         if not crossed and new_norm > gamma:

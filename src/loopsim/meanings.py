@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Meaning:
@@ -27,6 +29,11 @@ class Meaning:
 def concat(*meanings: Meaning) -> Meaning:
     """Concatenate symbol sequences. Tags do not survive concatenation."""
     return Meaning("".join(m.symbols for m in meanings))
+
+
+def random_bits(rng: np.random.Generator, n: int) -> str:
+    """n uniform bits as a '0'/'1' string, from one ``rng.integers`` call."""
+    return "".join("1" if b else "0" for b in rng.integers(0, 2, size=n))
 
 
 def edit_distance(a: str, b: str) -> int:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..meanings import Meaning, concat, edit_distance
+from ..meanings import Meaning, concat, edit_distance, random_bits
 from .core import MeasureSpec, symmetrised_kl
 from .lz78 import lz78_parse
 
@@ -89,12 +89,11 @@ def default_sampler(rng: np.random.Generator, max_len: int = 64) -> Meaning:
     n = int(rng.integers(0, max_len + 1))
     style = rng.random()
     if style < 0.6:
-        bits = rng.integers(0, 2, size=n)
-        return Meaning("".join("1" if b else "0" for b in bits))
+        return Meaning(random_bits(rng, n))
     if style < 0.8:
         return Meaning(("1" if rng.random() < 0.5 else "0") * n)
     period = int(rng.integers(1, 5))
-    unit = "".join("1" if b else "0" for b in rng.integers(0, 2, size=period))
+    unit = random_bits(rng, period)
     return Meaning((unit * (n // period + 1))[:n])
 
 

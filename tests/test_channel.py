@@ -120,33 +120,33 @@ class TestPsi:
     def test_identity(self):
         spec = ChannelSpec(psi_kind=PsiKind.IDENTITY, noise_len=2, seed=0)
         n = draw_self_noise(Meaning(""), 0, spec)
-        assert apply_psi(n, ctx(), spec, masked=False).symbols == n.symbols
+        assert apply_psi(n.symbols, "", 0.0, 0, spec, False) == n.symbols
 
     def test_constant(self):
         spec = ChannelSpec(psi_kind=PsiKind.CONSTANT, const_meaning="111", seed=0)
         n = draw_self_noise(Meaning("0101"), 3, spec)
-        assert apply_psi(n, ctx(), spec, masked=False).symbols == "111"
+        assert apply_psi(n.symbols, "", 0.0, 3, spec, False) == "111"
 
     def test_gated_lengths(self):
         spec = ChannelSpec(
             psi_kind=PsiKind.GATED, gamma_true=50.0, gain_lo=0, gain_hi=5, seed=0)
         n = draw_self_noise(Meaning(""), 0, spec)
-        assert len(apply_psi(n, ctx(norm=60.0), spec, masked=False)) == 5
-        assert len(apply_psi(n, ctx(norm=50.0), spec, masked=False)) == 0
+        assert len(apply_psi(n.symbols, "", 60.0, 0, spec, False)) == 5
+        assert len(apply_psi(n.symbols, "", 50.0, 0, spec, False)) == 0
 
     def test_tagged_injective_appends_fingerprint(self):
         spec = ChannelSpec(psi_kind=PsiKind.TAGGED_INJECTIVE, noise_len=8, seed=0)
         n = draw_self_noise(Meaning(""), 0, spec)
-        m1 = apply_psi(n, ctx(symbols="0011", norm=4.0), spec, masked=False)
-        m2 = apply_psi(n, ctx(symbols="0111", norm=4.0), spec, masked=False)
+        m1 = apply_psi(n.symbols, "0011", 4.0, 0, spec, False)
+        m2 = apply_psi(n.symbols, "0111", 4.0, 0, spec, False)
         assert len(m1) == 8 + 16
-        assert m1.symbols[:8] == n.symbols
-        assert m1.symbols != m2.symbols
+        assert m1[:8] == n.symbols
+        assert m1 != m2
 
     def test_mask_replaces_with_empty(self):
         spec = ChannelSpec(psi_kind=PsiKind.IDENTITY, noise_len=4, seed=0)
         n = draw_self_noise(Meaning(""), 0, spec)
-        assert apply_psi(n, ctx(), spec, masked=True).is_empty
+        assert apply_psi(n.symbols, "", 0.0, 0, spec, True) == ""
 
     def test_output_length_table(self):
         gated = ChannelSpec(psi_kind=PsiKind.GATED, gamma_true=10, gain_lo=1,

@@ -182,7 +182,6 @@ class TestArtifacts:
                 .replace("delta = 1.0", "delta = 0.25")
                 .replace("initial_norm = 11", "initial_norm = 4")
                 .replace("horizon = 50", "horizon = 4000")
-                .replace("csv,json,svg", "csv,json")
                 .replace("checks = drift", "checks = bounded"))
         summary = run_scenario(parse_scenarios(text)[0], tmp_path)
         entry = summary["runs"][0]
@@ -192,6 +191,8 @@ class TestArtifacts:
         assert len(rows) == entry["steps"] + 1
         assert rows[-1].endswith(",OVERFLOW")
         assert summary["failures"] == 1
+        svg = (tmp_path / "tiny" / "base__seed1.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg
 
     def test_runaway_norm_ends_in_a_flagged_truncated_run(self, tmp_path):
         self.assert_runaway_truncated(tmp_path)
@@ -199,6 +200,14 @@ class TestArtifacts:
     def test_power_law_gain_overflow_ends_in_a_flagged_truncated_run(self, tmp_path):
         self.assert_runaway_truncated(
             tmp_path, "measure_kind = POWER_LAW\nbeta_pow = 2.0\n")
+
+    def test_sweep_seed_gives_each_point_its_seed(self, tmp_path):
+        # A masked run: its CSV depends on the channel seed.
+        text = MINIMAL.replace("seed = 1", "eps0 = 0.5") + "sweep_seed = 1,2,3\n"
+        summary = run_scenario(parse_scenarios(text)[0], tmp_path)
+        assert [entry["seed"] for entry in summary["runs"]] == [1, 2, 3]
+        csvs = {(tmp_path / "tiny" / entry["csv"]).read_text() for entry in summary["runs"]}
+        assert len(csvs) == 3
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         text = MINIMAL + "sweep_gamma = 8,10\n"
@@ -415,6 +424,19 @@ class TestCliVerbs:
             main, [verb, str(config), "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert f"scenario 'tiny', field {field!r}" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line,field", [
+        ("gama = 5", "gama"), ("horizn = 100", "horizn"), ("sweep_gama = 1,2", "gama"),
+        ("schedule = SYNCHRONOUS", "schedule"),  # a swarm field on a run scenario
+    ])
+    def test_unknown_field_exits_two_naming_it(self, tmp_path, line, field):
+        config = tmp_path / "bad.ini"
+        config.write_text(MINIMAL + line + "\n")
+        result = CliRunner().invoke(
+            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert f"scenario 'tiny', field {field!r}: unknown field" in result.output
         assert not (tmp_path / "out").exists()
 
     def test_summary_is_written_without_json_output(self, tmp_path):
