@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 
 import numpy as np
 
-from .meanings import Meaning, random_bits
+from .meanings import Meaning
 
 _EPS_CEILING = 1.0 - 1e-9
 _TAG_DIGEST_BITS = 16
@@ -205,11 +204,16 @@ def tile(symbols: str, length: int) -> str:
     return (symbols * reps)[:length]
 
 
-def _context_fingerprint(symbols: str, norm: float) -> str:
-    """16 bits of the context's symbols, or of the norm's repr when it has none."""
-    digest = hashlib.blake2b((symbols or repr(norm)).encode(),
-                             digest_size=_TAG_DIGEST_BITS // 8)
-    return format(int.from_bytes(digest.digest(), "big"), f"0{_TAG_DIGEST_BITS}b")
+def tag_hasher(symbols: str):
+    """The hash behind `context_tag`; feed it the symbols a context grows by."""
+    return hashlib.blake2b(symbols.encode(), digest_size=_TAG_DIGEST_BITS // 8)
+
+
+def context_tag(symbols: str, norm: float, hasher) -> str:
+    """16 bits of the context (symbols, norm): ``hasher``, the `tag_hasher`
+    of the symbols, or the hash of the norm's repr when there are none."""
+    digest = (hasher if symbols else tag_hasher(repr(norm))).digest()
+    return format(int.from_bytes(digest, "big"), f"0{_TAG_DIGEST_BITS}b")
 
 
 def psi_output_length(spec: ChannelSpec, norm: float, t: int) -> int:
@@ -233,26 +237,40 @@ def psi_output_length(spec: ChannelSpec, norm: float, t: int) -> int:
     raise ValueError(kind)
 
 
-def apply_psi(noise: str, symbols: str, norm: float, t: int, spec: ChannelSpec,
+def apply_psi(noise: str, tag: str, norm: float, t: int, spec: ChannelSpec,
               masked: bool) -> str:
-    """The meaning of the noise at step t in the context (symbols, norm), after
-    the masking valve: a masked step emits the empty string."""
+    """The meaning of the noise at step t in a context with this norm and
+    `context_tag`, after the masking valve: a masked step emits ""."""
     if masked:
         return ""
     kind = spec.psi_kind
     if kind is PsiKind.IDENTITY:
         return noise
     if kind is PsiKind.TAGGED_INJECTIVE:
-        return noise + _context_fingerprint(symbols, norm)
+        return noise + tag
     if kind is PsiKind.CONSTANT:
         return spec.const_meaning
     return tile(noise, psi_output_length(spec, norm, t))
 
 
-def _iid_noise(spec: ChannelSpec, rng: np.random.Generator) -> str:
-    if spec.temperature == 0.0:
-        return "0" * spec.noise_len
-    return random_bits(rng, spec.noise_len)
+# The estimators draw their samples this many raw PCG64 words at a time.
+_BLOCK_WORDS = 1 << 15
+
+
+def _raw_words(seed: int, label: str, rows: int, width: int):
+    """Blocks of whole rows, ``rows`` rows of ``width`` words in all, of the
+    raw PCG64 stream the Generator of ``derive_seed(seed, label)`` draws on."""
+    bitgen = np.random.PCG64(derive_seed(seed, label))
+    per_block = max(1, _BLOCK_WORDS // max(width, 1))
+    for start in range(0, rows, per_block):
+        yield bitgen.random_raw((min(per_block, rows - start), width))
+
+
+def _raw_bits(words: np.ndarray) -> np.ndarray:
+    """The bits ``Generator.integers(0, 2)`` makes of each row of raw words:
+    bit 31 of each 32-bit half-word, the low half first."""
+    bits = np.stack(((words >> 31) & 1, words >> 63), axis=2)
+    return bits.reshape(len(words), -1).astype(np.uint8)
 
 
 def estimate_collision_rate(spec: ChannelSpec, c, trials: int, seed: int = 0) -> float:
@@ -260,28 +278,47 @@ def estimate_collision_rate(spec: ChannelSpec, c, trials: int, seed: int = 0) ->
 
     The masking coins are drawn i.i.d. per trial at the schedule's entry rate
     (t = 1), so with an injective base map the rate is eps^2 + (1-eps)^2 * p.
+    A trial draws a's noise, a's coin (if eps > 0), b's noise, b's coin. Two
+    meanings of one length L > 0 are equal iff their noise agrees on its first
+    min(L, noise_len) bits (on none for CONSTANT; TAGGED's tags are equal).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    rng = np.random.default_rng(derive_seed(seed, "collision"))
     eps = epsilon_at(1, spec.mask_rate)
-
-    def meaning() -> str:  # the noise, then the valve's coin
-        noise = _iid_noise(spec, rng)
-        return apply_psi(noise, c.symbols, c.norm, 0, spec, eps > 0.0 and rng.random() < eps)
-
-    return sum(meaning() == meaning() for _ in range(trials)) / trials
+    n = spec.noise_len if spec.temperature > 0.0 else 0  # 2n noise bits in n words
+    length = psi_output_length(spec, c.norm, 0)
+    compare = 0 if spec.psi_kind is PsiKind.CONSTANT else min(length, n)
+    width = n + 2 * (eps > 0.0)
+    collisions = 0
+    for words in _raw_words(seed, "collision", trials, width):
+        lengths = np.full((len(words), 2), length)
+        if eps > 0.0:  # a's coin follows a's noise; a's spare half-word starts b's
+            coins = [-(-n // 2), width - 1]
+            lengths[(words[:, coins] >> 11) * 2.0**-53 < eps] = 0
+            words = np.delete(words, coins, axis=1)
+        bits = _raw_bits(words)
+        same = (bits[:, :compare] == bits[:, n:n + compare]).all(axis=1)
+        a, b = lengths.T
+        collisions += int(np.count_nonzero((a == b) & ((a == 0) | same)))
+    return collisions / trials
 
 
 def entropy_estimate(spec: ChannelSpec, samples: int, seed: int = 0) -> float:
-    """Plug-in Shannon entropy (bits) of the empirical noise distribution."""
+    """Plug-in Shannon entropy (bits) of the empirical noise distribution,
+    summed over the distinct samples in order of first appearance."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    rng = np.random.default_rng(derive_seed(seed, "entropy"))
-    counts = Counter(_iid_noise(spec, rng) for _ in range(samples))
-    total = sum(counts.values())
+    counts = [samples]
+    if spec.temperature > 0.0:
+        n = spec.noise_len  # two samples fill n words
+        packed = np.concatenate([
+            np.packbits(_raw_bits(words).reshape(-1, n), axis=1)
+            for words in _raw_words(seed, "entropy", -(-samples // 2), n)])[:samples]
+        _, first, count = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))),
+                                    return_index=True, return_counts=True)
+        counts = count[np.argsort(first)].tolist()
     entropy = 0.0
-    for count in counts.values():
-        p = count / total
+    for count in counts:
+        p = count / samples
         entropy -= p * math.log2(p)
     return entropy

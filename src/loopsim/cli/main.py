@@ -98,20 +98,24 @@ def _emit(doc: dict, outdir, filename: str) -> None:
 
 def _experiments(config, scenario_name, key, experiment, outdir, suffix) -> int:
     """Runs `experiment` on every scenario that sets `key` and emits each
-    document as `<scenario>.<suffix>.json`; returns how many ran. A
-    ValueError ends the process with exit code 2, naming the scenario."""
-    ran = 0
-    for scenario in _load(config, scenario_name):
-        if key not in dict(scenario.fields):
-            continue
+    document as `<scenario>.<suffix>.json`; returns how many ran. A sweep,
+    which the experiments do not read, or a ValueError ends the process with
+    exit code 2, naming the scenario."""
+    scenarios = [s for s in _load(config, scenario_name) if key in dict(s.fields)]
+    for scenario in scenarios:
+        if scenario.sweep:
+            ignored = ", ".join(f"sweep_{k}" for k, _ in scenario.sweep)
+            click.echo(f"error: scenario {scenario.name!r}: {ignored} would be ignored; "
+                       "the experiment runs one point", err=True)
+            sys.exit(2)
+    for scenario in scenarios:
         try:
             doc = experiment(scenario)
         except ValueError as exc:
             click.echo(f"error: scenario {scenario.name!r}: {exc}", err=True)
             sys.exit(2)
         _emit(doc, outdir, f"{scenario.name}.{suffix}.json")
-        ran += 1
-    return ran
+    return len(scenarios)
 
 
 @main.command(name="audit")

@@ -113,9 +113,10 @@ def _verdicts(table, names, *args) -> list[dict]:
 def _drift(traj, cfg, fields):
     delta, eps = _delta_eps(cfg)
     report = verify_drift(traj, delta, cfg.gamma, eps)
+    overflow = {} if report.overflow_step is None else {"overflow_step": report.overflow_step}
     return _status(report.passed), dict(
         t0=report.t0, min_margin=report.min_margin,
-        mean_drift=report.mean_drift, mean_bound=report.mean_bound)
+        mean_drift=report.mean_drift, mean_bound=report.mean_bound, **overflow)
 
 
 def _bounded(traj, cfg, fields):

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..channel import ChannelSpec, PsiKind, apply_psi, derive_seed
+from ..channel import ChannelSpec, PsiKind, apply_psi, context_tag, derive_seed
 from ..meanings import Meaning, random_bits
 from ..measures import MeasureSpec, length_measure
 from .core import (
     EVENT_BUDGET_FROZEN,
     EVENT_BURST_HIT_W,
     EVENT_MASKED,
+    EVENT_OVERFLOW,
     Trajectory,
     UpdateKind,
 )
@@ -53,6 +54,7 @@ class DriftReport:
     mean_bound: float
     mean_margin_sigmas: float
     mean_ok: bool
+    overflow_step: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -68,15 +70,16 @@ def verify_drift(traj: Trajectory, delta: float, gamma: float,
     norm k steps past the crossing must have grown by at least k * delta *
     gamma (only meaningful when nothing was masked). Mean: the average
     increment must reach delta * (1 - eps) * gamma within five standard
-    errors of the observed increments.
+    errors of the observed increments. A run flagged OVERFLOW is judged on
+    the steps before ``overflow_step``, its last.
     """
+    overflow_step = traj.steps - 1 if traj.events[-1] & EVENT_OVERFLOW else None
+    end = traj.steps if overflow_step is None else overflow_step
     t0 = traj.first_crossing(gamma)
-    if t0 is None:
+    if t0 is None or t0 > end:
         raise NoCrossingError(f"norm never exceeded {gamma!r}")
-
-    norms = traj.norms
-    deltas = traj.delta[t0:]
-    events = traj.events[t0:]
+    norms = traj.norms[:end + 1]
+    deltas, events = traj.delta[t0:end], traj.events[t0:end]
     masked = (events & EVENT_MASKED) != 0
     frozen = (events & EVENT_BUDGET_FROZEN) != 0
     active = ~(masked | frozen)
@@ -96,7 +99,7 @@ def verify_drift(traj: Trajectory, delta: float, gamma: float,
     usable = deltas[~frozen]
     mean_drift = float(usable.mean()) if len(usable) else 0.0
     mean_bound = delta * (1.0 - eps) * gamma
-    se = float(usable.std(ddof=1)) / math.sqrt(len(usable)) if len(usable) > 1 else 0.0
+    se = _std(usable) / math.sqrt(len(usable)) if len(usable) > 1 else 0.0
     mean_ok = mean_drift >= mean_bound - 5.0 * se
     sigmas = (mean_drift - mean_bound) / se if se > 0.0 else math.inf
 
@@ -106,7 +109,16 @@ def verify_drift(traj: Trajectory, delta: float, gamma: float,
         min_margin=min_margin, cumulative_ok=bool(cumulative_ok),
         mean_drift=mean_drift, mean_bound=mean_bound,
         mean_margin_sigmas=float(sigmas), mean_ok=bool(mean_ok),
+        overflow_step=overflow_step,
     )
+
+
+def _std(x: np.ndarray) -> float:
+    """Sample standard deviation, scaled first if the squares overflow."""
+    with np.errstate(over="ignore"):
+        std = float(x.std(ddof=1))
+    peak = float(np.abs(x).max())
+    return std if math.isfinite(std) else peak * float((x / peak).std(ddof=1))
 
 
 @dataclass(frozen=True)
@@ -169,7 +181,8 @@ def estimate_gamma_star(
 
     def gain_at(norm: float) -> float:
         noise = random_bits(rng, channel.noise_len)
-        return measure.evaluate(Meaning(apply_psi(noise, "", norm, 0, channel, False)))
+        tag = context_tag("", norm, None) if channel.psi_kind is PsiKind.TAGGED_INJECTIVE else ""
+        return measure.evaluate(Meaning(apply_psi(noise, tag, norm, 0, channel, False)))
 
     def always_gains(x: float) -> bool:
         nonlocal probes

@@ -23,6 +23,7 @@ from ..channel import (
     ChannelSpec,
     PsiKind,
     apply_psi,
+    context_tag,
     epsilon_array,
     epsilon_at,
     mask_stream,
@@ -30,6 +31,7 @@ from ..channel import (
     meaning_digest,
     noise_from_digest,
     psi_output_length,
+    tag_hasher,
     tile,
 )
 from ..columns import write_csv
@@ -297,12 +299,12 @@ def _budget_tripped(cfg: RunConfig, norm: float, cum_flops: float) -> bool:
     return False
 
 
-def _transition(norm, symbols, t, cfg, masked, cum_flops, digest):
+def _transition(norm, symbols, t, cfg, masked, cum_flops, digest, tag):
     """Returns (new_norm, new_symbols, omega, delta, event_bits).
 
-    ABSTRACT passes ``symbols=None`` and ``digest=None`` (and gets None
-    back): the meaning is reduced to its length. CONCRETE passes the
-    `meaning_digest` of ``symbols``, which keys the noise draw.
+    ABSTRACT passes None for ``symbols``, ``digest`` and ``tag`` (and gets
+    None back). CONCRETE passes the `meaning_digest` of ``symbols``, which
+    keys the noise, and for TAGGED_INJECTIVE the `context_tag` of the context.
     """
     rule = cfg.update
     kind = rule.kind
@@ -318,13 +320,15 @@ def _transition(norm, symbols, t, cfg, masked, cum_flops, digest):
             keep = int(rule.drop_to)
             symbols = symbols[len(symbols) - keep:] if keep else ""
             digest = meaning_digest(symbols)
+            if tag is not None:
+                tag = context_tag(symbols, norm, tag_hasher(symbols))
 
     if symbols is None:
         mlen = 0 if masked else psi_output_length(cfg.channel, norm, t)
         omega = cfg.measure.evaluate_length(mlen)
     else:
         noise = noise_from_digest(digest, t, cfg.channel)
-        m = apply_psi(noise, symbols, norm, t, cfg.channel, masked)
+        m = apply_psi(noise, tag, norm, t, cfg.channel, masked)
         mlen = len(m)
         omega = cfg.measure.evaluate(Meaning(m))
 
@@ -358,8 +362,10 @@ def step(state: ContextState, t: int, cfg: RunConfig,
     flops = flops_at(state.norm, cfg.cost_model)
     symbols = state.symbols if cfg.mode is Mode.CONCRETE else None
     digest = None if symbols is None else meaning_digest(symbols)
+    tag = (None if symbols is None or spec.psi_kind is not PsiKind.TAGGED_INJECTIVE
+           else context_tag(symbols, state.norm, tag_hasher(symbols)))
     new_norm, new_symbols, omega, delta, events = _transition(
-        state.norm, symbols, t, cfg, masked, cum_flops, digest)
+        state.norm, symbols, t, cfg, masked, cum_flops, digest, tag)
     new_state = replace(state, norm=new_norm, symbols=new_symbols or "")
     return new_state, StepRecord(
         t, state.norm, omega, delta, eps_t, flops, event_names(events))
@@ -429,8 +435,10 @@ def _run_steps(cfg, masked_a, columns, start=None):
     symbols = cfg.initial_symbols if concrete else None
     can_stop = concrete and cfg.stop_on_fixed_point and spec.deterministic
     growing = concrete and cfg.update.kind in _GROWING
-    # Rolling context hash: fed the new symbols while the sequence only grows.
+    tagged = concrete and spec.psi_kind is PsiKind.TAGGED_INJECTIVE
+    # Rolling digest and tag hashes: fed the new symbols while they only grow.
     hasher = hashlib.blake2b(symbols.encode(), digest_size=8) if concrete else None
+    tagger = tag_hasher(symbols) if tagged else None
     initial_digest = hasher.digest() if concrete else None
     digests: list[bytes] | None = [] if concrete else None
     fixed_point_step = None
@@ -440,7 +448,8 @@ def _run_steps(cfg, masked_a, columns, start=None):
         masked = bool(masked_a[t]) if masked_a is not None else False
         new_norm, new_symbols, omega, delta, events = _transition(
             norm, symbols, t, cfg, masked, cum_flops,
-            hasher.digest() if concrete else None)
+            hasher.digest() if concrete else None,
+            context_tag(symbols, norm, tagger) if tagged else None)
         flops = (a_attn * norm * norm + a_ffn * norm) if full_cost else flops_at(norm, model)
         cum_flops += flops
         if not crossed and new_norm > gamma:
@@ -455,9 +464,13 @@ def _run_steps(cfg, masked_a, columns, start=None):
                 fixed_point_step = t
                 stop = True
             if growing:
-                hasher.update(new_symbols[len(symbols):].encode())
+                fresh = new_symbols[len(symbols):].encode()
+                hasher.update(fresh)
+                if tagged:
+                    tagger.update(fresh)
             else:
                 hasher = hashlib.blake2b(new_symbols.encode(), digest_size=8)
+                tagger = tag_hasher(new_symbols) if tagged else None
             digests.append(hasher.digest())
         norm_a[t] = norm
         omega_a[t] = omega

@@ -33,7 +33,7 @@ def concat(*meanings: Meaning) -> Meaning:
 
 def random_bits(rng: np.random.Generator, n: int) -> str:
     """n uniform bits as a '0'/'1' string, from one ``rng.integers`` call."""
-    return "".join("1" if b else "0" for b in rng.integers(0, 2, size=n))
+    return (rng.integers(0, 2, size=n).astype(np.uint8) + ord("0")).tobytes().decode()
 
 
 def edit_distance(a: str, b: str) -> int:

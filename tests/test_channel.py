@@ -10,6 +10,7 @@ from loopsim.channel import (
     PsiKind,
     apply_psi,
     constant_mask,
+    context_tag,
     draw_self_noise,
     entropy_estimate,
     epsilon_array,
@@ -19,6 +20,7 @@ from loopsim.channel import (
     mask_u01,
     power_law_mask,
     psi_output_length,
+    tag_hasher,
 )
 from loopsim.engine import ContextState, Mode
 from loopsim.meanings import Meaning
@@ -137,8 +139,10 @@ class TestPsi:
     def test_tagged_injective_appends_fingerprint(self):
         spec = ChannelSpec(psi_kind=PsiKind.TAGGED_INJECTIVE, noise_len=8, seed=0)
         n = draw_self_noise(Meaning(""), 0, spec)
-        m1 = apply_psi(n.symbols, "0011", 4.0, 0, spec, False)
-        m2 = apply_psi(n.symbols, "0111", 4.0, 0, spec, False)
+        m1 = apply_psi(n.symbols, context_tag("0011", 4.0, tag_hasher("0011")),
+                       4.0, 0, spec, False)
+        m2 = apply_psi(n.symbols, context_tag("0111", 4.0, tag_hasher("0111")),
+                       4.0, 0, spec, False)
         assert len(m1) == 8 + 16
         assert m1[:8] == n.symbols
         assert m1 != m2

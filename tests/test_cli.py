@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -17,9 +19,10 @@ from loopsim.cli import (
     parse_scenarios,
     run_scenario,
 )
-from loopsim.cli.config import VALID_OUTPUTS, Scenario
+from loopsim.cli.config import VALID_OUTPUTS, Scenario, build_run_config
 from loopsim.cli.main import main
-from loopsim.cli.runner import AUDITS, KINDS, run_audit
+from loopsim.cli.runner import AUDITS, KINDS, RUN_CHECKS, _verdicts, run_audit
+from loopsim.engine import run
 
 MINIMAL = """
 [meta]
@@ -194,6 +197,23 @@ class TestArtifacts:
         svg = (tmp_path / "tiny" / "base__seed1.svg").read_text()
         assert "nan" not in svg and "inf" not in svg
 
+    def test_overflow_truncated_drift_is_judged_on_the_finite_prefix(self):
+        # MIRROR with delta 0.25 from 4 overflows after 3,175 of 4,000 steps.
+        text = (MINIMAL.replace("GATED", "MIRROR").replace("delta = 1.0", "delta = 0.25")
+                .replace("initial_norm = 11", "initial_norm = 4")
+                .replace("gamma = 10\n", "gamma = 50\n")
+                .replace("horizon = 50", "horizon = 4000"))
+        cfg = build_run_config(parse_scenarios(text)[0], {}, seed=15)
+        traj = run(cfg)
+        assert traj.steps == 3_175 and traj.final_norm == float("inf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bounded, drift = _verdicts(RUN_CHECKS, ("bounded", "drift"), traj, cfg, {})
+        assert bounded["status"] == "FAIL"
+        assert drift["status"] == "PASS"
+        assert drift["detail"]["overflow_step"] == 3_174
+        assert math.isfinite(drift["detail"]["mean_drift"])
+
     def test_runaway_norm_ends_in_a_flagged_truncated_run(self, tmp_path):
         self.assert_runaway_truncated(tmp_path)
 
@@ -367,6 +387,16 @@ class TestCliVerbs:
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert abs(doc["gamma_star"] - 50.0) <= 2.5
+
+    @pytest.mark.parametrize("verb,field", [("gamma-star", "bracket_lo = 1"),
+                                            ("conjecture", "budgets = 50,100,200")])
+    def test_experiment_on_a_swept_scenario_exits_two(self, tmp_path, verb, field):
+        path = tmp_path / "swept.ini"
+        path.write_text(MINIMAL + f"{field}\nsweep_seed = 1,2,3\nsweep_gamma_true = 20,50\n")
+        result = CliRunner().invoke(main, [verb, str(path)])
+        assert result.exit_code == 2
+        assert "'tiny'" in result.output
+        assert "sweep_gamma_true, sweep_seed" in result.output
 
     def test_conjecture_needs_budget_grid(self):
         result = CliRunner().invoke(

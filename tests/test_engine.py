@@ -1,6 +1,7 @@
 """Engine core: step semantics, run determinism, fixed points, rules."""
 
 import dataclasses
+import hashlib
 import io
 import math
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from loopsim.channel import ChannelSpec, PsiKind, constant_mask, power_law_mask
 from loopsim.cost import CostModel, CostVariant
 from loopsim.engine import (
+    EVENT_BURST_HIT_W,
     EVENT_CROSSED_GAMMA,
     EVENT_FIXED_POINT,
     EVENT_OVERFLOW,
@@ -169,6 +171,24 @@ def long_abstract_configs(draw, variant):
     return cfg
 
 
+@st.composite
+def long_concrete_configs(draw, kind):
+    """A `run_configs` draw recast as a TAGGED_INJECTIVE CONCRETE run of 2,000
+    to 5,000 steps under APPEND (the context grows by every meaning) or
+    WINDOWED (it is cut to ``drop_to`` after each cap hit)."""
+    cfg = draw(run_configs())
+    if kind is UpdateKind.WINDOWED:
+        rule = windowed(window=draw(st.integers(20, 400)),
+                        delta=draw(st.sampled_from([0.5, 1.0, 1.5])),
+                        drop_to=float(draw(st.integers(0, 12))))
+    else:
+        rule = UpdateRuleSpec(kind)
+    return dataclasses.replace(
+        cfg, mode=Mode.CONCRETE, update=rule, budget=None,
+        channel=dataclasses.replace(cfg.channel, psi_kind=PsiKind.TAGGED_INJECTIVE),
+        horizon=draw(st.integers(2_000, 5_000)))
+
+
 def assert_run_matches_step_loop(cfg):
     traj = run(cfg)
     rows, state = step_loop(cfg)
@@ -229,6 +249,13 @@ class TestStep:
         # The segment path (and, for MIRROR and DECAYING, the per-step path)
         # over horizons past its 4,096-step chunk cap.
         assert_run_matches_step_loop(data.draw(long_abstract_configs(variant)))
+
+    @pytest.mark.parametrize("kind", [UpdateKind.APPEND, UpdateKind.WINDOWED])
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    def test_long_concrete_run_matches_step_loop(self, kind, data):
+        # The rolling context hashes over long growing contexts and drops.
+        assert_run_matches_step_loop(data.draw(long_concrete_configs(kind)))
 
 
 class TestRun:
@@ -372,6 +399,24 @@ class TestRules:
         hits = np.nonzero(norms == 100.0)[0]
         assert len(hits) > 1
         assert norms[hits[0] + 1] == 21.0  # 11 + one 10-unit gain
+
+    @pytest.mark.parametrize("drop_to,digests_sha", [
+        (0.0, "7a304c07463a42ca4b03c157ebf493ff80706ca17dd4a79a0b802a62150a90e7"),
+        (5.0, "555db18846208ac9373e2426a662ad7339ed73e46ac51443eb61ddea81f501b1"),
+    ])
+    def test_tagged_windowed_run_is_pinned(self, drop_to, digests_sha):
+        # A drop re-tags the cut context: by the norm's repr when it is cut to
+        # nothing, by its symbols otherwise. `step` shares the transition, so
+        # the SHA-256 of the state digests is recorded, from the engine that
+        # hashed the whole context for each tag.
+        cfg = RunConfig(
+            channel=ChannelSpec(psi_kind=PsiKind.TAGGED_INJECTIVE, noise_len=4,
+                                seed=25, mask_rate=constant_mask(0.2)),
+            update=windowed(60, delta=1.0, drop_to=drop_to), mode=Mode.CONCRETE,
+            gamma=10.0, horizon=300)
+        traj = run(cfg)
+        assert (traj.events & EVENT_BURST_HIT_W).sum() > 0
+        assert hashlib.sha256(b"".join(traj.digests)).hexdigest() == digests_sha
 
     def test_valve_soundness_in_a_run(self):
         # Constant 0.3 mask over 1e5 steps: masked steps carry empty meanings

@@ -1,6 +1,8 @@
 """LZ78 parsing: frozen hand-parses, lossless round trips, oracle agreement."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsim.meanings import Meaning
 from loopsim.measures import index_bits, lz78_decode, lz78_parse
@@ -87,3 +89,12 @@ class TestRoundTrip:
             ref_phrases, ref_bits = reference_parse(text)
             assert list(parse.phrases) == ref_phrases
             assert parse.coded_bits == ref_bits
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text("01", max_size=600))
+    def test_round_trip_and_coded_bits(self, text):
+        parse = lz78_parse(text)
+        assert lz78_decode(parse).symbols == text
+        fresh = sum(symbol is not None for _, symbol in parse.phrases)
+        assert parse.coded_bits == fresh + sum(
+            index_bits(i) for i in range(1, len(parse.phrases) + 1))
