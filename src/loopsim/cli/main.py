@@ -96,12 +96,15 @@ def _emit(doc: dict, outdir, filename: str) -> None:
         (directory / filename).write_text(text, encoding="utf-8")
 
 
-def _experiments(config, scenario_name, key, experiment, outdir, suffix) -> int:
+def _experiments(config, scenario_name, key, experiment, outdir, suffix) -> None:
     """Runs `experiment` on every scenario that sets `key` and emits each
-    document as `<scenario>.<suffix>.json`; returns how many ran. A sweep,
-    which the experiments do not read, or a ValueError ends the process with
-    exit code 2, naming the scenario."""
+    document as `<scenario>.<suffix>.json`. No such scenario, a sweep, which
+    the experiments do not read, or a ValueError ends the process with exit
+    code 2, naming the scenario or the key."""
     scenarios = [s for s in _load(config, scenario_name) if key in dict(s.fields)]
+    if not scenarios:
+        click.echo(f"error: no scenario carries {key!r}", err=True)
+        sys.exit(2)
     for scenario in scenarios:
         if scenario.sweep:
             ignored = ", ".join(f"sweep_{k}" for k, _ in scenario.sweep)
@@ -115,7 +118,6 @@ def _experiments(config, scenario_name, key, experiment, outdir, suffix) -> int:
             click.echo(f"error: scenario {scenario.name!r}: {exc}", err=True)
             sys.exit(2)
         _emit(doc, outdir, f"{scenario.name}.{suffix}.json")
-    return len(scenarios)
 
 
 @main.command(name="audit")
@@ -151,10 +153,8 @@ def gamma_star_command(config, scenario_name, outdir) -> None:
               type=click.Path(file_okay=False))
 def conjecture_command(config, scenario_name, outdir) -> None:
     """Fit threshold-crossing time against log budget (no verdict)."""
-    if _experiments(config, scenario_name, "budgets", conjecture_experiment,
-                    outdir, "conjecture") == 0:
-        click.echo("error: no scenario carries a 'budgets' grid", err=True)
-        sys.exit(2)
+    _experiments(config, scenario_name, "budgets", conjecture_experiment, outdir,
+                 "conjecture")
     sys.exit(0)
 
 

@@ -230,6 +230,8 @@ def _execute_swarm_job(scenario, label, overrides, seed, outdir):
         "crossing_step": traj.first_crossing(spec.gamma),
         "checks": _verdicts(SWARM_CHECKS, scenario.checks, traj, spec),
     }
+    if traj.overflow_tick is not None:
+        entry["overflow_tick"] = traj.overflow_tick
     stem = f"{_slug(label)}__seed{seed}"
     if "csv" in scenario.outputs:
         for agent in range(spec.k):

@@ -91,7 +91,6 @@ def validate_log_rank(model: CostModel, delta: float, eps: float, gamma: float) 
 
 @dataclass(frozen=True)
 class QuadraticBoundReport:
-    constant: float
     passed: bool
     smallest_failing_norm: float | None
     largest_admissible: float
@@ -115,7 +114,6 @@ def check_quadratic_bound(model: CostModel, c: float, norms) -> QuadraticBoundRe
     if admissible is math.inf:
         admissible = model.alpha_attn
     return QuadraticBoundReport(
-        constant=c,
         passed=failing is None,
         smallest_failing_norm=failing,
         largest_admissible=admissible,
@@ -133,13 +131,6 @@ class ComputeReport:
     cumulative: np.ndarray
     slope: float
     classification: str
-
-    def as_dict(self) -> dict:
-        return {
-            "total_flops": float(self.cumulative[-1]) if len(self.cumulative) else 0.0,
-            "slope": self.slope,
-            "classification": self.classification,
-        }
 
 
 def cumulative_compute(

@@ -243,7 +243,8 @@ class Trajectory:
 
     @property
     def total_flops(self) -> float:
-        return float(self.flops.sum())
+        with np.errstate(over="ignore"):  # an OVERFLOW run may sum to inf
+            return float(self.flops.sum())
 
     def first_crossing(self, level: float) -> int | None:
         """Smallest state index t with norm strictly above the level."""

@@ -54,6 +54,9 @@ class AuditReport:
     MAX_RECORDED = 50
 
     def record(self, example: Counterexample) -> None:
+        """Count a violation; keep it while fewer than MAX_RECORDED are kept."""
+        counter = _COUNTERS[example.property_name]
+        setattr(self, counter, getattr(self, counter) + 1)
         if len(self.counterexamples) < self.MAX_RECORDED:
             self.counterexamples.append(example)
 
@@ -118,72 +121,70 @@ def audit_measure(
     # Directed probes first so they always make the recorded-example list.
     for m1, m2 in probes:
         _check_pair(spec, m1, m2, report)
-
     for _ in range(samples):
-        m1 = sampler(rng)
-        m2 = sampler(rng)
-        _check_pair(spec, m1, m2, report)
+        _check_pair(spec, sampler(rng), sampler(rng), report)
     return report
 
 
 def _check_pair(spec: MeasureSpec, m1: Meaning, m2: Meaning, report: AuditReport) -> None:
+    found, ratio = _violations(spec, m1, m2)
+    if ratio is not None:
+        report.worst_lipschitz_ratio = max(report.worst_lipschitz_ratio, ratio)
+    for example in found:
+        report.record(example)
+
+
+# Each axiom, in recording order, and the AuditReport field that counts it.
+_COUNTERS = {"O1": "o1_violations", "O2": "o2_violations",
+             "MII_MONOTONE": "mii_monotone_violations",
+             "MII_EXTENSION": "mii_extension_violations", "O3": "o3_violations"}
+
+
+def _violations(spec: MeasureSpec, m1: Meaning,
+                m2: Meaning) -> tuple[list[Counterexample], float | None]:
+    """The axioms the pair breaks, in recording order, and its Lipschitz
+    ratio (None at edit distance 0)."""
     v1 = spec.evaluate(m1)
     v2 = spec.evaluate(m2)
     joined = spec.evaluate_concat(m1, m2)
-
+    found = []
     if v1 < 0.0 or v2 < 0.0 or joined < 0.0:
-        report.o1_violations += 1
-        report.record(Counterexample(
+        found.append(Counterexample(
             "O1", (m1.symbols, m2.symbols), (v1, v2, joined), "negative value"))
-
     if joined < v1 + v2 - _TOL:
-        report.o2_violations += 1
-        report.record(Counterexample(
+        found.append(Counterexample(
             "O2", (m1.symbols, m2.symbols), (joined, v1, v2),
             f"gain of concatenation {joined!r} < {v1!r} + {v2!r}"))
-
     if joined < v1 - _TOL:
-        report.mii_monotone_violations += 1
-        report.record(Counterexample(
+        found.append(Counterexample(
             "MII_MONOTONE", (m1.symbols, m2.symbols), (joined, v1),
             "concatenation scored below its first part"))
-
     extended = spec.evaluate_concat(m1, Meaning(""))
     if abs(extended - v1) > _TOL:
-        report.mii_extension_violations += 1
-        report.record(Counterexample(
+        found.append(Counterexample(
             "MII_EXTENSION", (m1.symbols,), (extended, v1),
             "empty extension changed the value"))
 
     distance = edit_distance(m1.symbols, m2.symbols)
-    if distance > 0:
-        ratio = abs(v1 - v2) / distance
-        report.worst_lipschitz_ratio = max(report.worst_lipschitz_ratio, ratio)
-        bound = spec.lipschitz_bound
-        if bound is not None and ratio > bound + _TOL:
-            report.o3_violations += 1
-            report.record(Counterexample(
-                "O3", (m1.symbols, m2.symbols), (v1, v2, float(distance)),
-                f"ratio {ratio!r} exceeds declared bound {bound!r}"))
+    if distance == 0:
+        return found, None
+    ratio = abs(v1 - v2) / distance
+    bound = spec.lipschitz_bound
+    if bound is not None and ratio > bound + _TOL:
+        found.append(Counterexample(
+            "O3", (m1.symbols, m2.symbols), (v1, v2, float(distance)),
+            f"ratio {ratio!r} exceeds declared bound {bound!r}"))
+    return found, ratio
 
 
 def replay_counterexample(spec: MeasureSpec, example: Counterexample) -> bool:
-    """Re-evaluate a recorded counterexample; True when it still violates."""
-    ms = [Meaning(s) for s in example.inputs]
-    if example.property_name == "O1":
-        return any(spec.evaluate(m) < 0.0 for m in ms)
-    if example.property_name == "O2":
-        return spec.evaluate_concat(ms[0], ms[1]) < (
-            spec.evaluate(ms[0]) + spec.evaluate(ms[1]) - _TOL)
-    if example.property_name == "MII_MONOTONE":
-        return spec.evaluate_concat(ms[0], ms[1]) < spec.evaluate(ms[0]) - _TOL
-    if example.property_name == "MII_EXTENSION":
-        return abs(spec.evaluate_concat(ms[0], Meaning("")) - spec.evaluate(ms[0])) > _TOL
-    if example.property_name == "O3":
-        distance = edit_distance(ms[0].symbols, ms[1].symbols)
-        ratio = abs(spec.evaluate(ms[0]) - spec.evaluate(ms[1])) / distance
-        return ratio > spec.lipschitz_bound + _TOL
-    raise ValueError(f"unknown property {example.property_name!r}")
+    """Re-evaluate a recorded counterexample; True when it still violates. A
+    one-input example (MII_EXTENSION) is paired with the empty meaning."""
+    if example.property_name not in _COUNTERS:
+        raise ValueError(f"unknown property {example.property_name!r}")
+    m1, m2 = (Meaning(s) for s in (*example.inputs, "")[:2])
+    found, _ = _violations(spec, m1, m2)
+    return any(c.property_name == example.property_name for c in found)
 
 
 def audit_lz_dictionary_reuse(

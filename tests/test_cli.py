@@ -277,6 +277,28 @@ class TestCheckTables:
         verdict, = summary["runs"][0]["checks"]
         assert verdict["status"] == "FAIL" and verdict["detail"]["error"]
 
+    def _relay(self, tmp_path, **fields):
+        base = [s for s in builtin_scenarios() if s.name == "swarm_relay"][0]
+        scenario = dataclasses.replace(
+            base, fields=tuple(sorted({**dict(base.fields), **fields}.items())),
+            outputs=("json",), checks=("divergence", "collective_gain"))
+        return run_scenario(scenario, tmp_path)["runs"][0]
+
+    def test_critical_swarm_reads_info(self, tmp_path):
+        entry = self._relay(tmp_path, beta="0,0;0,0", gamma="10")
+        divergence = entry["checks"][0]
+        assert divergence["status"] == "INFO" and divergence["detail"]["rho"] == 1.0
+
+    def test_relay_overflow_names_its_tick(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            entry = self._relay(tmp_path, k="3", beta="0,.5,.5;.5,0,.5;.5,.5,0",
+                                lam="1,1,1", horizon="10000")
+        divergence, gain = entry["checks"]
+        assert entry["overflow_tick"] == 645 and entry["steps"] == 646
+        assert divergence["status"] == "PASS" and divergence["detail"]["rho"] == 3.0
+        assert gain["status"] == "FAIL" and "tick 645" in gain["detail"]["error"]
+
     @pytest.mark.parametrize("measure", list(AUDITS))
     def test_each_audit_runs(self, measure):
         doc = run_audit(measure, samples=200, seed=1)
@@ -402,6 +424,12 @@ class TestCliVerbs:
         result = CliRunner().invoke(
             main, ["conjecture", "builtin", "--scenario", "drift"])
         assert result.exit_code == 2
+
+    def test_gamma_star_needs_a_bracket(self):
+        result = CliRunner().invoke(
+            main, ["gamma-star", "builtin", "--scenario", "drift"])
+        assert result.exit_code == 2
+        assert "'bracket_lo'" in result.output
 
     def test_report_aggregates_and_exits(self, tmp_path):
         CliRunner().invoke(main, ["run", "builtin", "--scenario", "drift",
