@@ -148,8 +148,10 @@ class ChannelSpec:
 
     @property
     def deterministic(self) -> bool:
-        """True when every step is a fixed function of the previous context."""
-        return self.temperature == 0.0 and self.mask_rate.is_zero
+        """True when every step is a fixed function of the previous context:
+        never for DECAYING, whose meaning length depends on the step index."""
+        return (self.temperature == 0.0 and self.mask_rate.is_zero
+                and self.psi_kind is not PsiKind.DECAYING)
 
 
 @cache

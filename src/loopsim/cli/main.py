@@ -11,7 +11,6 @@ unparseable config.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from .runner import (
     aggregate_reports,
     conjecture_experiment,
     format_report,
+    json_text,
     run_audit,
     run_gamma_star,
     run_scenario,
@@ -88,7 +88,7 @@ def run_command(config, scenario_name, outdir, jobs) -> None:
 
 def _emit(doc: dict, outdir, filename: str) -> None:
     """Echoes a JSON document and, given `outdir`, also writes it there."""
-    text = json.dumps(doc, indent=2)
+    text = json_text(doc)
     click.echo(text)
     if outdir is not None:
         directory = Path(outdir)

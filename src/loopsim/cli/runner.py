@@ -67,6 +67,20 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _finite(value):
+    """``value`` with every non-finite float, at any depth, made None."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def json_text(doc: dict) -> str:
+    """``doc`` as strict JSON: a non-finite float is written as null."""
+    return json.dumps(_finite(doc), indent=2, allow_nan=False)
+
+
 def _csv_text(write, *args) -> str:
     buffer = io.StringIO()
     write(*args, buffer)
@@ -335,8 +349,7 @@ def run_scenario(scenario: Scenario, outdir, jobs: int = 1) -> dict:
         "failures": statuses.count(FAIL),
     }
     # Written whatever the outputs say, so that `report` sees every failure.
-    _atomic_write(Path(outdir).parent / f"{scenario.name}.summary.json",
-                  json.dumps(summary, indent=2))
+    _atomic_write(Path(outdir).parent / f"{scenario.name}.summary.json", json_text(summary))
     return summary
 
 

@@ -229,9 +229,6 @@ class Trajectory:
     events: np.ndarray
     final_norm: float
     final_symbols: str | None = None
-    digests: list[bytes] | None = None
-    initial_digest: bytes | None = None
-    fixed_point_step: int | None = None
 
     @property
     def steps(self) -> int:
@@ -387,9 +384,9 @@ def run(cfg: RunConfig) -> Trajectory:
     """Iterate the recursion for the configured horizon.
 
     A step whose new norm is not finite is flagged OVERFLOW and ends the run.
-    Deterministic CONCRETE runs also stop early once the state provably
-    repeats forever (the transition is then a fixed function of the state);
-    the truncated trajectory carries the fixed-point step.
+    A deterministic CONCRETE step that leaves the state unchanged is flagged
+    FIXED_POINT and ends it too: the transition is then a fixed function of
+    the state, so the state repeats forever.
 
     ABSTRACT runs over IDENTITY, TAGGED_INJECTIVE, CONSTANT and GATED take
     the segment path; every other run takes one `_transition` per step. Both
@@ -406,22 +403,18 @@ def run(cfg: RunConfig) -> Trajectory:
         masked_a = mask_stream(spec, horizon) < eps_a
     columns = [norm_a, omega_a, delta_a, eps_a, flops_a, events_a]
 
-    if cfg.mode is Mode.ABSTRACT and spec.psi_kind in _SEGMENT_PSI:
-        steps, norm = _run_segments(cfg, masked_a, columns)
-        extra = {}
-    else:
-        steps, norm, extra = _run_steps(cfg, masked_a, columns)
+    segments = cfg.mode is Mode.ABSTRACT and spec.psi_kind in _SEGMENT_PSI
+    steps, norm, symbols = (_run_segments if segments else _run_steps)(cfg, masked_a, columns)
     if steps < horizon:
         columns = [a[:steps].copy() for a in columns]
-    return Trajectory(cfg, cfg.seed, *columns, final_norm=norm, **extra)
+    return Trajectory(cfg, cfg.seed, *columns, final_norm=norm, final_symbols=symbols)
 
 
 def _run_steps(cfg, masked_a, columns, start=None):
     """The per-step path: one `_transition` per step.
 
     ``start`` = (t, norm, cum_flops, crossed) resumes an ABSTRACT run the
-    segment path began. Returns (steps, final norm, the CONCRETE fields of
-    the Trajectory).
+    segment path began. Returns (steps, final norm, final symbols).
     """
     norm_a, omega_a, delta_a, _, flops_a, events_a = columns
     spec = cfg.channel
@@ -440,9 +433,6 @@ def _run_steps(cfg, masked_a, columns, start=None):
     # Rolling digest and tag hashes: fed the new symbols while they only grow.
     hasher = hashlib.blake2b(symbols.encode(), digest_size=8) if concrete else None
     tagger = tag_hasher(symbols) if tagged else None
-    initial_digest = hasher.digest() if concrete else None
-    digests: list[bytes] | None = [] if concrete else None
-    fixed_point_step = None
     steps = cfg.horizon
 
     for t in range(t0, cfg.horizon):
@@ -462,7 +452,6 @@ def _run_steps(cfg, masked_a, columns, start=None):
         if concrete:
             if can_stop and new_symbols == symbols and new_norm == norm:
                 events |= EVENT_FIXED_POINT
-                fixed_point_step = t
                 stop = True
             if growing:
                 fresh = new_symbols[len(symbols):].encode()
@@ -472,7 +461,6 @@ def _run_steps(cfg, masked_a, columns, start=None):
             else:
                 hasher = hashlib.blake2b(new_symbols.encode(), digest_size=8)
                 tagger = tag_hasher(new_symbols) if tagged else None
-            digests.append(hasher.digest())
         norm_a[t] = norm
         omega_a[t] = omega
         delta_a[t] = delta
@@ -482,9 +470,7 @@ def _run_steps(cfg, masked_a, columns, start=None):
         if stop:
             steps = t + 1
             break
-    return steps, norm, {"final_symbols": symbols, "digests": digests,
-                         "initial_digest": initial_digest,
-                         "fixed_point_step": fixed_point_step}
+    return steps, norm, symbols
 
 
 @np.errstate(over="ignore")  # an overflow is flagged, as in the float loop
@@ -497,7 +483,8 @@ def _run_segments(cfg, masked_a, columns):
     The norms are then a cumsum, which numpy accumulates left to right as
     the step loop adds. A segment ends after the last step of its regime;
     a non-finite norm ends the run (OVERFLOW), and an open budget gate
-    freezes the rest of it. Returns (steps, final norm).
+    freezes the rest of it. Returns (steps, final norm, None), as
+    `_run_steps` does for an ABSTRACT run.
     """
     norm_a, omega_a, delta_a, _, flops_a, events_a = columns
     horizon, spec, rule, gate = cfg.horizon, cfg.channel, cfg.update, cfg.budget
@@ -516,7 +503,7 @@ def _run_segments(cfg, masked_a, columns):
             # The regime switches every few steps (an OVERWRITE gate flipping
             # on every mask, a gate inside each WINDOWED burst): one step
             # costs less than the numpy calls of a segment.
-            return _run_steps(cfg, masked_a, columns, (t, norm, cum_flops, crossed))[:2]
+            return _run_steps(cfg, masked_a, columns, (t, norm, cum_flops, crossed))
         segments += 1
         if _budget_tripped(cfg, norm, cum_flops):
             # The gate never reopens: the norm and the cost stay put.
@@ -526,7 +513,7 @@ def _run_segments(cfg, masked_a, columns):
             events_a[rest] = EVENT_BUDGET_FROZEN
             if masked_a is not None:
                 events_a[rest] |= masked_a[rest]  # EVENT_MASKED is bit 1
-            return horizon, norm
+            return horizon, norm, None
         x0 = float(rule.drop_to) if windowed and norm >= rule.window else norm
         mlen = psi_output_length(spec, x0, t)
         omega_l = cfg.measure.evaluate_length(mlen)
@@ -578,9 +565,9 @@ def _run_segments(cfg, masked_a, columns):
         events_a[span] = events
         norm, cum_flops, t = float(new[n - 1]), float(cum[n]), t + n
         if stop:
-            return t, norm
+            return t, norm, None
         chunk = min(max(2 * n, _CHUNK_MIN), _CHUNK_MAX)
-    return horizon, norm
+    return horizon, norm, None
 
 
 def _bursts(norm, x0, inc, rule):
@@ -626,19 +613,10 @@ def _bursts(norm, x0, inc, rule):
 
 
 def detect_fixed_point(traj: Trajectory) -> int | None:
-    """Smallest t whose state repeats unchanged through the end of the run.
+    """The step a deterministic run stopped on, flagged FIXED_POINT, or None.
 
     Needs concrete symbols: state equality is undefined on a bare norm ledger.
     """
-    if traj.config.mode is not Mode.CONCRETE or traj.digests is None:
+    if traj.config.mode is not Mode.CONCRETE:
         raise AbstractModeError("fixed-point detection needs a CONCRETE run")
-    if traj.fixed_point_step is not None:
-        return traj.fixed_point_step
-    states = [traj.initial_digest] + list(traj.digests)
-    norms = traj.norms
-    j = len(states) - 1
-    while j > 0 and states[j] == states[j - 1] and norms[j] == norms[j - 1]:
-        j -= 1
-    if j == len(states) - 1:
-        return None
-    return j
+    return traj.steps - 1 if traj.events[-1] & EVENT_FIXED_POINT else None

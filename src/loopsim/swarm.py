@@ -200,10 +200,14 @@ def check_collective_gain(traj: SwarmTrajectory, spec: SwarmSpec) -> CollectiveG
     Uniform-bonus runs are held to (1 + beta) * k * solo (scaled by the
     activity rate under the Bernoulli schedule); non-uniform runs to the
     averaged-bonus form. Each comparison allows five standard errors of
-    Monte-Carlo slack. A run that overflowed has no mean to compare.
+    Monte-Carlo slack. A run that overflowed has no mean to compare, and a
+    RELAY agent's gain sums only the others' previous increments, which the
+    broadcast bound does not describe.
     """
     if traj.overflow_tick is not None:
         raise ValueError(f"the swarm norms overflowed at tick {traj.overflow_tick}")
+    if spec.gain_mode is not GainMode.STATIC:
+        raise ValueError("the broadcast bound (1 + beta)·k·solo holds for STATIC gains only")
     uniform = spec.uniform_bonus
     factor_bonus = uniform if uniform is not None else spec.mean_bonus
     solo_mean = float(traj.solo_delta.mean())

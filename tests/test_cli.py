@@ -21,8 +21,19 @@ from loopsim.cli import (
 )
 from loopsim.cli.config import VALID_OUTPUTS, Scenario, build_run_config
 from loopsim.cli.main import main
-from loopsim.cli.runner import AUDITS, KINDS, RUN_CHECKS, _verdicts, run_audit
+from loopsim.cli.runner import AUDITS, KINDS, RUN_CHECKS, _verdicts, json_text, run_audit
 from loopsim.engine import run
+
+def strict_loads(text):
+    """The JSON document ``text``, refusing NaN and Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def strict_json(path):
+    return strict_loads(path.read_text(encoding="utf-8"))
+
 
 MINIMAL = """
 [meta]
@@ -190,6 +201,8 @@ class TestArtifacts:
         entry = summary["runs"][0]
         assert entry["steps"] < 4000
         assert entry["final_norm"] == float("inf")
+        written = strict_json(tmp_path / "tiny.summary.json")["runs"][0]
+        assert written["final_norm"] is None and written["total_flops"] is None
         rows = (tmp_path / "tiny" / "base__seed1.csv").read_text().splitlines()
         assert len(rows) == entry["steps"] + 1
         assert rows[-1].endswith(",OVERFLOW")
@@ -213,6 +226,11 @@ class TestArtifacts:
         assert drift["status"] == "PASS"
         assert drift["detail"]["overflow_step"] == 3_174
         assert math.isfinite(drift["detail"]["mean_drift"])
+
+    def test_json_text_writes_non_finite_floats_as_null(self):
+        doc = {"a": [math.inf, -math.inf, math.nan, 1.5], "b": {"c": (math.inf, 2)}}
+        assert strict_loads(json_text(doc)) == {"a": [None, None, None, 1.5],
+                                                "b": {"c": [None, 2]}}
 
     def test_runaway_norm_ends_in_a_flagged_truncated_run(self, tmp_path):
         self.assert_runaway_truncated(tmp_path)
@@ -282,12 +300,18 @@ class TestCheckTables:
         scenario = dataclasses.replace(
             base, fields=tuple(sorted({**dict(base.fields), **fields}.items())),
             outputs=("json",), checks=("divergence", "collective_gain"))
-        return run_scenario(scenario, tmp_path)["runs"][0]
+        entry = run_scenario(scenario, tmp_path)["runs"][0]
+        written = strict_json(tmp_path / "swarm_relay.summary.json")["runs"][0]
+        assert written["final_norms"] == [
+            n if math.isfinite(n) else None for n in entry["final_norms"]]
+        return entry
 
     def test_critical_swarm_reads_info(self, tmp_path):
         entry = self._relay(tmp_path, beta="0,0;0,0", gamma="10")
-        divergence = entry["checks"][0]
+        divergence, gain = entry["checks"]
         assert divergence["status"] == "INFO" and divergence["detail"]["rho"] == 1.0
+        # The broadcast bound is a STATIC one: a RELAY swarm is not held to it.
+        assert gain["status"] == "FAIL" and "STATIC gains only" in gain["detail"]["error"]
 
     def test_relay_overflow_names_its_tick(self, tmp_path):
         with warnings.catch_warnings():

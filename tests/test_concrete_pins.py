@@ -22,6 +22,7 @@ from loopsim.engine import (
     UpdateRuleSpec,
     delta_monotone,
     run,
+    step,
     windowed,
 )
 from loopsim.measures import compression_gain_measure
@@ -52,8 +53,9 @@ def test_noise_matches_the_512_bit_reference(noise_len):
                 assert noise_from_digest(digest, t, spec) == reference_noise(digest, t, spec)
 
 
-# name: (config, SHA-256 of the CSV, of final_symbols, of the joined digests),
-# recorded from the engine before the symbol layer moved to plain strings.
+# name: (config, SHA-256 of the CSV, of final_symbols, of the joined state
+# digests of a `step` loop), recorded from the engine before the symbol layer
+# moved to plain strings.
 PINNED = {
     "tagged_append_from_empty": (
         RunConfig(channel=ChannelSpec(psi_kind=PsiKind.TAGGED_INJECTIVE, noise_len=8,
@@ -102,7 +104,11 @@ def test_concrete_run_is_pinned(name):
     assert traj.steps == cfg.horizon
     assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == csv_sha
     assert hashlib.sha256(traj.final_symbols.encode()).hexdigest() == symbols_sha
-    assert hashlib.sha256(b"".join(traj.digests)).hexdigest() == digests_sha
+    state, digests = cfg.initial_state(), []
+    for t in range(cfg.horizon):
+        state, _ = step(state, t, cfg)
+        digests.append(meaning_digest(state.symbols))
+    assert hashlib.sha256(b"".join(digests)).hexdigest() == digests_sha
 
 
 def test_pinned_runs_cover_their_regimes():

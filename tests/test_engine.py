@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsim.channel import ChannelSpec, PsiKind, constant_mask, power_law_mask
+from loopsim.channel import (
+    ChannelSpec,
+    PsiKind,
+    constant_mask,
+    meaning_digest,
+    power_law_mask,
+)
 from loopsim.cost import CostModel, CostVariant
 from loopsim.engine import (
     EVENT_BURST_HIT_W,
@@ -19,6 +25,7 @@ from loopsim.engine import (
     EVENT_OVERFLOW,
     AbstractModeError,
     BudgetGate,
+    ContextState,
     Mode,
     RunConfig,
     SublinearKind,
@@ -124,6 +131,35 @@ def step_loop(cfg):
         if stop:
             break
     return rows, state
+
+
+def state_digests(cfg):
+    """The joined `meaning_digest` of each state of a `step` loop, and the
+    final state."""
+    state, digests = cfg.initial_state(), []
+    for t in range(cfg.horizon):
+        state, _ = step(state, t, cfg)
+        digests.append(meaning_digest(state.symbols))
+    return b"".join(digests), state
+
+
+@st.composite
+def fixed_point_configs(draw, psi):
+    """A `run_configs` draw recast as a CONCRETE run over ``psi`` at
+    temperature 0, unmasked."""
+    cfg = draw(run_configs())
+    channel = dataclasses.replace(
+        cfg.channel, psi_kind=psi, temperature=0.0, mask_rate=constant_mask(0.0),
+        const_meaning=draw(st.text("01", min_size=1, max_size=6)),
+        decay_len=draw(st.sampled_from([5.0, 50.0, 500.0])),
+        decay_power=draw(st.sampled_from([0.5, 1.0, 2.0])))
+    n0 = int(cfg.initial_norm)
+    budget = cfg.budget
+    if psi is PsiKind.MIRROR and budget is None:
+        budget = BudgetGate(max_norm=150.0)  # MIRROR doubles the symbols
+    return dataclasses.replace(
+        cfg, channel=channel, mode=Mode.CONCRETE, budget=budget,
+        initial_symbols=draw(st.text("01", min_size=n0, max_size=n0)))
 
 
 @st.composite
@@ -325,23 +361,43 @@ class TestFixedPoints:
         for seed in range(5):
             assert detect_fixed_point(self.stochastic_overwrite(seed)) is None
 
-    def test_repeats_must_persist_to_the_end(self):
-        # Mid-run repeats do not count; only a tail of identical states does.
-        base = self.stochastic_overwrite(0, horizon=8)
+    def test_chance_last_step_repeat_is_not_a_fixed_point(self):
+        # At seed 8 the last step emits the state before it by chance
+        # (p = 1/256): a stochastic run never stops, so nothing is flagged.
+        traj = self.stochastic_overwrite(8, horizon=300)
+        before_last = self.stochastic_overwrite(8, horizon=299)
+        assert traj.steps == 300 and traj.final_symbols == before_last.final_symbols
+        assert detect_fixed_point(traj) is None
 
-        def with_states(states):
-            t = dataclasses.replace(base)
-            t.initial_digest = states[0]
-            t.digests = list(states[1:])
-            t.norm = np.ones(len(states) - 1)
-            t.final_norm = 1.0
-            t.fixed_point_step = None
-            return t
+    def test_decaying_run_does_not_stop_on_a_repeat(self):
+        # DECAYING's meaning length falls with t, so a repeated state is not
+        # a fixed point: the run goes on to the empty context a step loop
+        # reaches.
+        cfg = RunConfig(
+            channel=ChannelSpec(psi_kind=PsiKind.DECAYING, temperature=0.0,
+                                decay_len=100.0, decay_power=1.0),
+            update=UpdateRuleSpec(UpdateKind.OVERWRITE),
+            mode=Mode.CONCRETE, gamma=100.0, horizon=200)
+        traj = run(cfg)
+        assert traj.steps == 200 and traj.final_norm == 0.0 and traj.final_symbols == ""
+        assert detect_fixed_point(traj) is None
+        assert_run_matches_step_loop(cfg)
 
-        a, b = b"A" * 8, b"B" * 8
-        assert detect_fixed_point(with_states([a, a, b, a, b])) is None
-        assert detect_fixed_point(with_states([a, b, b, b, b])) == 1
-        assert detect_fixed_point(with_states([a, a, a, a, a])) == 0
+    @pytest.mark.parametrize("psi", list(PsiKind))
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_a_stop_is_a_true_fixed_point(self, psi, data):
+        # Stepping on from the state a run stopped on never changes it.
+        cfg = data.draw(fixed_point_configs(psi))
+        traj = run(cfg)
+        if not traj.events[-1] & EVENT_FIXED_POINT:
+            return
+        state = ContextState(Mode.CONCRETE, traj.final_norm, traj.final_symbols)
+        cum_flops = traj.total_flops
+        for t in range(traj.steps, cfg.horizon):
+            new, record = step(state, t, cfg, cum_flops=cum_flops)
+            assert new == state, t
+            cum_flops += record.flops
 
     def test_abstract_mode_unsupported(self):
         cfg = abstract_gated(0.0, 10.0, 10.0, 0, 5, 1.0, horizon=10)
@@ -406,9 +462,9 @@ class TestRules:
     ])
     def test_tagged_windowed_run_is_pinned(self, drop_to, digests_sha):
         # A drop re-tags the cut context: by the norm's repr when it is cut to
-        # nothing, by its symbols otherwise. `step` shares the transition, so
-        # the SHA-256 of the state digests is recorded, from the engine that
-        # hashed the whole context for each tag.
+        # nothing, by its symbols otherwise. The SHA-256 of the `step` loop's
+        # state digests is recorded, from the engine that hashed the whole
+        # context for each tag; `run` must end on the same symbols.
         cfg = RunConfig(
             channel=ChannelSpec(psi_kind=PsiKind.TAGGED_INJECTIVE, noise_len=4,
                                 seed=25, mask_rate=constant_mask(0.2)),
@@ -416,7 +472,9 @@ class TestRules:
             gamma=10.0, horizon=300)
         traj = run(cfg)
         assert (traj.events & EVENT_BURST_HIT_W).sum() > 0
-        assert hashlib.sha256(b"".join(traj.digests)).hexdigest() == digests_sha
+        digests, state = state_digests(cfg)
+        assert hashlib.sha256(digests).hexdigest() == digests_sha
+        assert traj.final_symbols == state.symbols
 
     def test_valve_soundness_in_a_run(self):
         # Constant 0.3 mask over 1e5 steps: masked steps carry empty meanings
