@@ -23,8 +23,6 @@ from functools import cache
 
 import numpy as np
 
-from .meanings import Meaning
-
 _EPS_CEILING = 1.0 - 1e-9
 _TAG_DIGEST_BITS = 16
 
@@ -178,12 +176,6 @@ def noise_from_digest(prev_digest: bytes, t: int, spec: ChannelSpec) -> str:
     if spec.temperature == 0.0:
         return "0" * spec.noise_len
     return _bits(_noise_key(spec.seed), prev_digest + t.to_bytes(8, "little"), spec.noise_len)
-
-
-def draw_self_noise(prev: Meaning, t: int, spec: ChannelSpec) -> Meaning:
-    """Noise keyed by the agent's own previous output: fresh bits per step at
-    positive temperature, all zeros at temperature 0."""
-    return Meaning(noise_from_digest(meaning_digest(prev.symbols), t, spec))
 
 
 def mask_stream(spec: ChannelSpec, horizon: int) -> np.ndarray:

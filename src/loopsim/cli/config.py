@@ -35,7 +35,7 @@ from ..measures import (
     length_measure,
     power_measure,
 )
-from ..swarm import SwarmSpec
+from ..swarm import GainMode, SwarmSpec
 
 SCHEMA_VERSION = 1
 
@@ -243,7 +243,7 @@ def runner_fields(scenario: Scenario, table: dict, overrides=None) -> dict:
 
 
 def _validate(scenario: Scenario) -> None:
-    from .runner import KINDS
+    from .runner import KINDS, STATIC_ONLY
 
     for output in scenario.outputs:
         if output not in VALID_OUTPUTS:
@@ -268,8 +268,13 @@ def _validate(scenario: Scenario) -> None:
                 f"to kind {scenario.kind!r}")
     # Build every sweep point so invariant violations surface at load.
     for _, overrides in scenario.sweep_points():
-        if kind.build is not None:
-            kind.build(scenario, overrides)
+        spec = kind.build(scenario, overrides) if kind.build is not None else None
+        relay = getattr(spec, "gain_mode", None) is GainMode.RELAY
+        for check in scenario.checks:
+            if relay and kind.checks[check] in STATIC_ONLY:
+                raise ScenarioValidationError(
+                    f"scenario {scenario.name!r}: check {check!r} holds for STATIC "
+                    "gains only, not a RELAY swarm")
         runner_fields(scenario, kind.fields, overrides)
 
 

@@ -2,8 +2,9 @@
 
 Verbs: `run` executes scenarios from a config file (or the builtin set),
 `audit` checks a measure's axioms, `gamma-star` estimates the critical
-threshold of a gated channel, `conjecture` fits crossing time against log
-budget, `report` folds a directory of summaries into one verdict table.
+threshold of a channel and, for a GATED one, judges it against the declared
+gate, `conjecture` fits crossing time against log budget, `report` folds a
+directory of summaries into one verdict table.
 
 Exit codes: 0 all hard checks passed, 1 at least one failed, 2 bad usage or
 unparseable config.
@@ -98,9 +99,9 @@ def _emit(doc: dict, outdir, filename: str) -> None:
 
 def _experiments(config, scenario_name, key, experiment, outdir, suffix) -> None:
     """Runs `experiment` on every scenario that sets `key` and emits each
-    document as `<scenario>.<suffix>.json`. No such scenario, a sweep, which
-    the experiments do not read, or a ValueError ends the process with exit
-    code 2, naming the scenario or the key."""
+    document as `<scenario>.<suffix>.json`, then exits 1 if a verdict reads
+    FAIL, else 0. No such scenario, a sweep, which the experiments do not
+    read, or a ValueError exits 2, naming the scenario or the key."""
     scenarios = [s for s in _load(config, scenario_name) if key in dict(s.fields)]
     if not scenarios:
         click.echo(f"error: no scenario carries {key!r}", err=True)
@@ -111,6 +112,7 @@ def _experiments(config, scenario_name, key, experiment, outdir, suffix) -> None
             click.echo(f"error: scenario {scenario.name!r}: {ignored} would be ignored; "
                        "the experiment runs one point", err=True)
             sys.exit(2)
+    failed = False
     for scenario in scenarios:
         try:
             doc = experiment(scenario)
@@ -118,6 +120,8 @@ def _experiments(config, scenario_name, key, experiment, outdir, suffix) -> None
             click.echo(f"error: scenario {scenario.name!r}: {exc}", err=True)
             sys.exit(2)
         _emit(doc, outdir, f"{scenario.name}.{suffix}.json")
+        failed = failed or any(v["status"] == FAIL for v in doc.get("verdicts", ()))
+    sys.exit(1 if failed else 0)
 
 
 @main.command(name="audit")
@@ -140,10 +144,9 @@ def audit_command(measure, samples, seed, outdir) -> None:
 @click.option("--out", "outdir", default=None,
               type=click.Path(file_okay=False))
 def gamma_star_command(config, scenario_name, outdir) -> None:
-    """Estimate the critical context size of a gated scenario channel."""
+    """Estimate a scenario channel's critical context size; FAIL exits 1."""
     _experiments(config, scenario_name, "bracket_lo", run_gamma_star, outdir,
                  "gammastar")
-    sys.exit(0)
 
 
 @main.command(name="conjecture")
@@ -155,7 +158,6 @@ def conjecture_command(config, scenario_name, outdir) -> None:
     """Fit threshold-crossing time against log budget (no verdict)."""
     _experiments(config, scenario_name, "budgets", conjecture_experiment, outdir,
                  "conjecture")
-    sys.exit(0)
 
 
 @main.command(name="report")

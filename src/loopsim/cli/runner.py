@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..channel import epsilon_at
+from ..channel import PsiKind, epsilon_at
 from ..cost import CostVariant, cumulative_compute
 from ..engine import (
     NoCrossingError,
@@ -57,6 +57,9 @@ PASS = "PASS"
 FAIL = "FAIL"
 INFO = "INFO"
 DOCUMENTED = "COUNTEREXAMPLE FOUND (documented)"
+
+# Criterion 3's window: gamma-star passes within 5 % of a GATED channel's gate.
+GAMMA_STAR_TOLERANCE = 0.05
 
 SUMMARY_SCHEMA = 1
 
@@ -200,6 +203,8 @@ def _divergence(traj, spec):
 
 
 SWARM_CHECKS = {"collective_gain": _collective_gain, "divergence": _divergence}
+# The checks whose bound holds for STATIC gains only: refused on a RELAY swarm at load.
+STATIC_ONLY = (_collective_gain,)
 
 
 def _execute_run_job(scenario, label, overrides, seed, outdir):
@@ -456,6 +461,9 @@ def run_gamma_star(scenario: Scenario) -> dict:
         mc_samples=fields["mc_samples"],
         seed=fields["seed"],
     )
+    miss = abs(estimate.value - channel.gamma_true)
+    status = (_status(miss <= GAMMA_STAR_TOLERANCE * channel.gamma_true)
+              if channel.psi_kind is PsiKind.GATED else INFO)  # only GATED declares a gate
     return {
         "schema": SUMMARY_SCHEMA,
         "scenario": scenario.name,
@@ -463,6 +471,8 @@ def run_gamma_star(scenario: Scenario) -> dict:
         "resolution": estimate.resolution,
         "iterations": estimate.iterations,
         "gamma_true": channel.gamma_true,
+        "verdicts": [_verdict("gamma_star", status, {
+            "gamma_star": estimate.value, "gamma_true": channel.gamma_true})],
     }
 
 
@@ -549,8 +559,9 @@ def _document_rows(doc: dict, stem: str) -> list[dict]:
                              verdict)
                 for entry in doc["runs"] for verdict in entry.get("checks", [])]
     if "verdicts" in doc:
-        return [_verdict_row(doc.get("audit", stem), "audit", verdict)
-                for verdict in doc["verdicts"]]
+        source, label = ((doc["audit"], "audit") if "audit" in doc
+                         else (doc.get("scenario", stem), "gamma-star"))
+        return [_verdict_row(source, label, verdict) for verdict in doc["verdicts"]]
     if "slope" in doc:
         return [_verdict_row(doc.get("scenario", stem), "conjecture", {
             "name": "conjecture_fit", "status": INFO,

@@ -4,7 +4,9 @@ FULL attention costs alpha_attn * n^2 + alpha_ffn * n floating-point
 operations for a context of n token-equivalent units. LOW_RANK replaces the
 quadratic term with alpha_attn_r * r * n for a fixed rank r; LOG_RANK
 recomputes the rank per step as ceil(log_coeff * log n), the regime where
-cumulative compute stays polynomial while the context still diverges.
+cumulative compute stays polynomial while the context still diverges. That
+regime's premise is log_coeff < delta*(1-eps)/gamma; any positive log_coeff
+is still a legal run.
 """
 
 from __future__ import annotations
@@ -76,48 +78,6 @@ def flops_array(norms, model: CostModel) -> np.ndarray:
     else:
         f = model.alpha_attn_r * model.rank * x + model.alpha_ffn * x
     return np.where(x == 0.0, 0.0, f)
-
-
-def validate_log_rank(model: CostModel, delta: float, eps: float, gamma: float) -> None:
-    """Config-time check for the polynomial-compute regime: c < delta*(1-eps)/gamma."""
-    if model.variant is not CostVariant.LOG_RANK:
-        return
-    limit = delta * (1.0 - eps) / gamma
-    if not model.log_coeff < limit:
-        raise ValueError(
-            f"log_coeff {model.log_coeff!r} must stay below delta*(1-eps)/gamma = {limit!r}"
-        )
-
-
-@dataclass(frozen=True)
-class QuadraticBoundReport:
-    passed: bool
-    smallest_failing_norm: float | None
-    largest_admissible: float
-
-
-def check_quadratic_bound(model: CostModel, c: float, norms) -> QuadraticBoundReport:
-    """Check flops(n) >= c * n^2 over the sampled norms (FULL variant only)."""
-    if model.variant is not CostVariant.FULL:
-        raise ValueError("the quadratic lower bound applies to the FULL variant only")
-    if c <= 0.0:
-        raise ValueError("the bound constant must be positive")
-    failing = None
-    admissible = math.inf
-    for n in sorted(float(x) for x in norms):
-        if n <= 0.0:
-            continue
-        f = flops_at(n, model)
-        admissible = min(admissible, f / (n * n))
-        if f < c * n * n and failing is None:
-            failing = n
-    if admissible is math.inf:
-        admissible = model.alpha_attn
-    return QuadraticBoundReport(
-        passed=failing is None,
-        smallest_failing_norm=failing,
-        largest_admissible=admissible,
-    )
 
 
 GROWTH_QUADRATIC = "QUADRATIC"

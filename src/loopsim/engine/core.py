@@ -220,7 +220,6 @@ class Trajectory:
     """
 
     config: RunConfig
-    seed: int
     norm: np.ndarray
     omega: np.ndarray
     delta: np.ndarray
@@ -247,18 +246,6 @@ class Trajectory:
         """Smallest state index t with norm strictly above the level."""
         above = np.nonzero(self.norms > level)[0]
         return int(above[0]) if len(above) else None
-
-    def records_equal(self, other: "Trajectory") -> bool:
-        return (
-            self.steps == other.steps
-            and bool(np.array_equal(self.norm, other.norm))
-            and bool(np.array_equal(self.omega, other.omega))
-            and bool(np.array_equal(self.delta, other.delta))
-            and bool(np.array_equal(self.epsilon_t, other.epsilon_t))
-            and bool(np.array_equal(self.flops, other.flops))
-            and bool(np.array_equal(self.events, other.events))
-            and self.final_norm == other.final_norm
-        )
 
     def write_csv(self, out: TextIO) -> None:
         write_csv(out, CSV_HEADER,
@@ -407,7 +394,7 @@ def run(cfg: RunConfig) -> Trajectory:
     steps, norm, symbols = (_run_segments if segments else _run_steps)(cfg, masked_a, columns)
     if steps < horizon:
         columns = [a[:steps].copy() for a in columns]
-    return Trajectory(cfg, cfg.seed, *columns, final_norm=norm, final_symbols=symbols)
+    return Trajectory(cfg, *columns, final_norm=norm, final_symbols=symbols)
 
 
 def _run_steps(cfg, masked_a, columns, start=None):

@@ -11,19 +11,19 @@ from loopsim.channel import (
     apply_psi,
     constant_mask,
     context_tag,
-    draw_self_noise,
     entropy_estimate,
     epsilon_array,
     epsilon_at,
     estimate_collision_rate,
     mask_stream,
     mask_u01,
+    meaning_digest,
+    noise_from_digest,
     power_law_mask,
     psi_output_length,
     tag_hasher,
 )
 from loopsim.engine import ContextState, Mode
-from loopsim.meanings import Meaning
 
 
 def ctx(norm=0.0, symbols=""):
@@ -34,21 +34,21 @@ def ctx(norm=0.0, symbols=""):
 class TestNoise:
     def test_zero_temperature_is_constant(self):
         spec = ChannelSpec(temperature=0.0, noise_len=6, seed=1)
-        draws = {draw_self_noise(Meaning(p), t, spec).symbols
+        draws = {noise_from_digest(meaning_digest(p), t, spec)
                  for p in ("", "0", "111") for t in range(5)}
         assert draws == {"000000"}
 
     def test_seeded_reproducibility(self):
         spec = ChannelSpec(temperature=1.0, noise_len=16, seed=42)
-        a = draw_self_noise(Meaning("1010"), 7, spec)
-        b = draw_self_noise(Meaning("1010"), 7, spec)
+        a = noise_from_digest(meaning_digest("1010"), 7, spec)
+        b = noise_from_digest(meaning_digest("1010"), 7, spec)
         assert a == b
 
     def test_distinct_steps_differ(self):
         spec = ChannelSpec(temperature=1.0, noise_len=64, seed=42)
-        a = draw_self_noise(Meaning("1010"), 1, spec)
-        b = draw_self_noise(Meaning("1010"), 2, spec)
-        assert a.symbols != b.symbols
+        a = noise_from_digest(meaning_digest("1010"), 1, spec)
+        b = noise_from_digest(meaning_digest("1010"), 2, spec)
+        assert a != b
 
     def test_uniformity_of_patterns(self):
         # 10^4 draws of 8 bits: every byte pattern within 5 sigma of 1/256.
@@ -56,7 +56,7 @@ class TestNoise:
         counts = {}
         n = 10_000
         for t in range(n):
-            s = draw_self_noise(Meaning(""), t, spec).symbols
+            s = noise_from_digest(meaning_digest(""), t, spec)
             counts[s] = counts.get(s, 0) + 1
         p = 1.0 / 256.0
         sigma = math.sqrt(n * p * (1 - p))
@@ -66,9 +66,9 @@ class TestNoise:
 
     def test_long_draws(self):
         spec = ChannelSpec(temperature=1.0, noise_len=1200, seed=4)
-        draw = draw_self_noise(Meaning(""), 0, spec)
-        assert len(draw.symbols) == 1200
-        assert set(draw.symbols) <= {"0", "1"}
+        draw = noise_from_digest(meaning_digest(""), 0, spec)
+        assert len(draw) == 1200
+        assert set(draw) <= {"0", "1"}
 
 
 class TestEpsilonSchedule:
@@ -121,36 +121,36 @@ class TestMaskStream:
 class TestPsi:
     def test_identity(self):
         spec = ChannelSpec(psi_kind=PsiKind.IDENTITY, noise_len=2, seed=0)
-        n = draw_self_noise(Meaning(""), 0, spec)
-        assert apply_psi(n.symbols, "", 0.0, 0, spec, False) == n.symbols
+        n = noise_from_digest(meaning_digest(""), 0, spec)
+        assert apply_psi(n, "", 0.0, 0, spec, False) == n
 
     def test_constant(self):
         spec = ChannelSpec(psi_kind=PsiKind.CONSTANT, const_meaning="111", seed=0)
-        n = draw_self_noise(Meaning("0101"), 3, spec)
-        assert apply_psi(n.symbols, "", 0.0, 3, spec, False) == "111"
+        n = noise_from_digest(meaning_digest("0101"), 3, spec)
+        assert apply_psi(n, "", 0.0, 3, spec, False) == "111"
 
     def test_gated_lengths(self):
         spec = ChannelSpec(
             psi_kind=PsiKind.GATED, gamma_true=50.0, gain_lo=0, gain_hi=5, seed=0)
-        n = draw_self_noise(Meaning(""), 0, spec)
-        assert len(apply_psi(n.symbols, "", 60.0, 0, spec, False)) == 5
-        assert len(apply_psi(n.symbols, "", 50.0, 0, spec, False)) == 0
+        n = noise_from_digest(meaning_digest(""), 0, spec)
+        assert len(apply_psi(n, "", 60.0, 0, spec, False)) == 5
+        assert len(apply_psi(n, "", 50.0, 0, spec, False)) == 0
 
     def test_tagged_injective_appends_fingerprint(self):
         spec = ChannelSpec(psi_kind=PsiKind.TAGGED_INJECTIVE, noise_len=8, seed=0)
-        n = draw_self_noise(Meaning(""), 0, spec)
-        m1 = apply_psi(n.symbols, context_tag("0011", 4.0, tag_hasher("0011")),
+        n = noise_from_digest(meaning_digest(""), 0, spec)
+        m1 = apply_psi(n, context_tag("0011", 4.0, tag_hasher("0011")),
                        4.0, 0, spec, False)
-        m2 = apply_psi(n.symbols, context_tag("0111", 4.0, tag_hasher("0111")),
+        m2 = apply_psi(n, context_tag("0111", 4.0, tag_hasher("0111")),
                        4.0, 0, spec, False)
         assert len(m1) == 8 + 16
-        assert m1[:8] == n.symbols
+        assert m1[:8] == n
         assert m1 != m2
 
     def test_mask_replaces_with_empty(self):
         spec = ChannelSpec(psi_kind=PsiKind.IDENTITY, noise_len=4, seed=0)
-        n = draw_self_noise(Meaning(""), 0, spec)
-        assert apply_psi(n.symbols, "", 0.0, 0, spec, True) == ""
+        n = noise_from_digest(meaning_digest(""), 0, spec)
+        assert apply_psi(n, "", 0.0, 0, spec, True) == ""
 
     def test_output_length_table(self):
         gated = ChannelSpec(psi_kind=PsiKind.GATED, gamma_true=10, gain_lo=1,

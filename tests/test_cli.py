@@ -21,7 +21,8 @@ from loopsim.cli import (
 )
 from loopsim.cli.config import VALID_OUTPUTS, Scenario, build_run_config
 from loopsim.cli.main import main
-from loopsim.cli.runner import AUDITS, KINDS, RUN_CHECKS, _verdicts, json_text, run_audit
+from loopsim.cli.runner import (AUDITS, KINDS, RUN_CHECKS, STATIC_ONLY, _verdicts, json_text,
+                                run_audit)
 from loopsim.engine import run
 
 def strict_loads(text):
@@ -125,7 +126,8 @@ def _field_text(draw, default, least):
 @st.composite
 def scenario_lists(draw):
     """Valid scenarios: builtins with runner fields, checks, outputs, repeats
-    and a seed sweep drawn from their kind's field and check tables."""
+    and a seed sweep drawn from their kind's field and check tables (no
+    STATIC-only check on a RELAY swarm)."""
     scenarios = []
     for i in range(draw(st.integers(1, 4))):
         base = draw(st.sampled_from(builtin_scenarios()))
@@ -134,14 +136,17 @@ def scenario_lists(draw):
         for key, (default, least) in kind.fields.items():
             if draw(st.booleans()):
                 fields[key] = _field_text(draw, default, least)
+        relay = fields.get("gain_mode") == "RELAY"
+        checks = sorted(name for name, check in kind.checks.items()
+                        if not (relay and check in STATIC_ONLY))
         seeds = draw(st.lists(st.integers(0, 999), max_size=3))
         scenarios.append(Scenario(
             name=f"s{i}", kind=base.kind, fields=tuple(sorted(fields.items())),
             sweep=(("seed", tuple(map(str, seeds))),) if seeds else (),
             repeat=draw(st.integers(1, 3)),
             outputs=tuple(draw(st.lists(st.sampled_from(VALID_OUTPUTS), unique=True))),
-            checks=tuple(draw(st.lists(st.sampled_from(sorted(kind.checks)),
-                                       unique=True)) if kind.checks else ())))
+            checks=tuple(draw(st.lists(st.sampled_from(checks), unique=True))
+                         if checks else ())))
     return scenarios
 
 
@@ -433,6 +438,41 @@ class TestCliVerbs:
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert abs(doc["gamma_star"] - 50.0) <= 2.5
+        assert doc["verdicts"][0]["status"] == "PASS"
+
+    @pytest.mark.parametrize("old,new,code,status", [
+        ("bracket_hi = 100", "bracket_hi = 40", 1, "FAIL"),  # the gate at 50 lies outside
+        ("psi_kind = GATED", "psi_kind = IDENTITY", 0, "INFO"),  # no gate declared
+    ], ids=["missed_gate", "no_gate"])
+    def test_gamma_star_verdict_and_exit_code(self, tmp_path, old, new, code, status):
+        tightness = [s for s in builtin_scenarios() if s.name == "tightness"]
+        path = tmp_path / "tightness.ini"
+        path.write_text(emit_scenarios(tightness).replace(old, new))
+        result = CliRunner().invoke(main, ["gamma-star", str(path)])
+        assert result.exit_code == code
+        [verdict] = strict_loads(result.output)["verdicts"]
+        assert verdict["name"] == "gamma_star" and verdict["status"] == status
+
+    def test_report_lists_gamma_star_under_its_scenario(self, tmp_path):
+        CliRunner().invoke(main, ["gamma-star", "builtin", "--scenario", "tightness",
+                                  "--out", str(tmp_path)])
+        result = CliRunner().invoke(main, ["report", str(tmp_path)])
+        assert result.exit_code == 0
+        row = result.output.splitlines()[1].split()
+        assert row[:4] == ["tightness", "gamma-star", "gamma_star", "PASS"]
+
+    @pytest.mark.parametrize("line", ["gain_mode = RELAY", "sweep_gain_mode = STATIC,RELAY"],
+                             ids=["relay", "swept"])
+    def test_collective_gain_on_a_relay_swarm_exits_two(self, tmp_path, line):
+        config = tmp_path / "relay.ini"
+        config.write_text("[meta]\nschema = 1\n\n[scenario:relay]\nkind = swarm\n"
+                          "beta = 0 0.5; 0.5 0\ngamma = 100\nchecks = collective_gain\n"
+                          + line + "\n")
+        result = CliRunner().invoke(
+            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "scenario 'relay': check 'collective_gain'" in result.output
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb,field", [("gamma-star", "bracket_lo = 1"),
                                             ("conjecture", "budgets = 50,100,200")])

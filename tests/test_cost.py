@@ -1,4 +1,4 @@
-"""Cost model: closed forms, monotonicity, bound checks, slope classification."""
+"""Cost model: closed forms, monotonicity, slope classification."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,9 @@ from loopsim.channel import ChannelSpec, PsiKind
 from loopsim.cost import (
     CostModel,
     CostVariant,
-    check_quadratic_bound,
     cumulative_compute,
     flops_array,
     flops_at,
-    validate_log_rank,
 )
 from loopsim.engine import Mode, RunConfig, delta_monotone, run
 from loopsim.measures import length_measure
@@ -58,29 +56,6 @@ class TestFlopsAt:
             CostModel(alpha_attn=0.0)
         with pytest.raises(ValueError):
             CostModel(variant=CostVariant.LOW_RANK, rank=0)
-
-
-class TestQuadraticBound:
-    NORMS = [1.0, 2.0, 5.0, 10.0, 100.0, 10_000.0]
-
-    def test_bound_at_alpha_passes(self):
-        report = check_quadratic_bound(FULL, 2.0, self.NORMS)
-        assert report.passed
-
-    def test_bound_above_alpha_fails_at_large_norm(self):
-        # 2n^2 + 3n < 2.5n^2 once n > 6.
-        report = check_quadratic_bound(FULL, 2.5, self.NORMS)
-        assert not report.passed
-        assert report.smallest_failing_norm == 10.0
-
-    def test_unit_norm_edge(self):
-        report = check_quadratic_bound(FULL, 5.0, [1.0])
-        assert report.passed
-        assert report.largest_admissible == 5.0
-
-    def test_rejects_low_rank(self):
-        with pytest.raises(ValueError):
-            check_quadratic_bound(LOW_RANK, 1.0, self.NORMS)
 
 
 class TestCumulativeCompute:
@@ -139,14 +114,6 @@ class TestCumulativeCompute:
 
 
 class TestLogRank:
-    def test_validation_honours_coupling(self):
-        model = CostModel(variant=CostVariant.LOG_RANK, log_coeff=0.05)
-        validate_log_rank(model, delta=1.0, eps=0.0, gamma=10.0)
-        with pytest.raises(ValueError):
-            validate_log_rank(
-                CostModel(variant=CostVariant.LOG_RANK, log_coeff=0.2),
-                delta=1.0, eps=0.0, gamma=10.0)
-
     def test_near_linear_growth(self):
         traj = linear_norm_run()
         model = CostModel(variant=CostVariant.LOG_RANK, log_coeff=0.05)
