@@ -153,7 +153,7 @@ class ChannelSpec:
 
 
 @cache
-def _noise_key(seed: int) -> bytes:
+def noise_key(seed: int) -> bytes:
     return hashlib.blake2b(str(derive_seed(seed, "noise")).encode(), digest_size=32).digest()
 
 
@@ -175,7 +175,7 @@ def noise_from_digest(prev_digest: bytes, t: int, spec: ChannelSpec) -> str:
         raise ValueError("step index must be nonnegative")
     if spec.temperature == 0.0:
         return "0" * spec.noise_len
-    return _bits(_noise_key(spec.seed), prev_digest + t.to_bytes(8, "little"), spec.noise_len)
+    return _bits(noise_key(spec.seed), prev_digest + t.to_bytes(8, "little"), spec.noise_len)
 
 
 def mask_stream(spec: ChannelSpec, horizon: int) -> np.ndarray:
@@ -203,9 +203,10 @@ def tag_hasher(symbols: str):
     return hashlib.blake2b(symbols.encode(), digest_size=_TAG_DIGEST_BITS // 8)
 
 
-def context_tag(symbols: str, norm: float, hasher) -> str:
-    """16 bits of the context (symbols, norm): ``hasher``, the `tag_hasher`
-    of the symbols, or the hash of the norm's repr when there are none."""
+def context_tag(symbols: str | int, norm: float, hasher) -> str:
+    """16 bits of the context (symbols, norm): ``hasher``, the `tag_hasher` of
+    the symbols, or the hash of the norm's repr when ``symbols`` (or their
+    count) is empty."""
     digest = (hasher if symbols else tag_hasher(repr(norm))).digest()
     return format(int.from_bytes(digest, "big"), f"0{_TAG_DIGEST_BITS}b")
 

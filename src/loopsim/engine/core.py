@@ -14,6 +14,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple, TextIO
 
 import numpy as np
@@ -30,6 +31,7 @@ from ..channel import (
     mask_u01,
     meaning_digest,
     noise_from_digest,
+    noise_key,
     psi_output_length,
     tag_hasher,
     tile,
@@ -37,7 +39,7 @@ from ..channel import (
 from ..columns import write_csv
 from ..cost import CostModel, CostVariant, flops_array, flops_at
 from ..meanings import Meaning
-from ..measures import MeasureSpec, length_measure
+from ..measures import MeasureKind, MeasureSpec, length_measure
 
 
 class AbstractModeError(RuntimeError):
@@ -64,6 +66,9 @@ class SublinearKind(str, Enum):
 
 # Update kinds whose symbol sequence only ever grows by appends.
 _GROWING = (UpdateKind.APPEND, UpdateKind.DELTA_MONOTONE, UpdateKind.SUBLINEAR)
+# A CONCRETE step to a norm above this (or not finite) keeps its symbols, and
+# the run ends there flagged OVERFLOW: MIRROR + APPEND doubles them each step.
+MAX_SYMBOLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -253,24 +258,17 @@ class Trajectory:
                   _EVENT_TEXT[self.events].tolist())
 
 
-def _sublinear(h_kind: SublinearKind, x: float) -> float:
-    if h_kind is SublinearKind.SQRT:
-        return math.sqrt(x)
-    return math.log1p(x)
-
-
-def _increment(rule: UpdateRuleSpec, mlen: int, omega: float) -> float:
-    """What a meaning of length ``mlen`` and gain ``omega`` adds to the norm.
-
-    Defined for every rule but OVERWRITE, whose new norm is ``float(mlen)``.
-    WINDOWED's cap is applied by the caller.
-    """
-    kind = rule.kind
-    if kind is UpdateKind.APPEND:
-        return float(mlen)
-    if kind is UpdateKind.SUBLINEAR:
-        return _sublinear(rule.h_kind, omega)
-    return rule.delta * rule.gain_scale * omega  # DELTA_MONOTONE or WINDOWED
+def _increment(rule: UpdateRuleSpec):
+    """What a meaning adds to the norm, as a function of its length and gain:
+    for every rule but OVERWRITE, whose new norm is the meaning length.
+    WINDOWED's cap is applied by the caller."""
+    if rule.kind is UpdateKind.APPEND:
+        return lambda mlen, omega: float(mlen)
+    if rule.kind is UpdateKind.SUBLINEAR:
+        h = math.sqrt if rule.h_kind is SublinearKind.SQRT else math.log1p
+        return lambda mlen, omega: h(omega)
+    scale = rule.delta * rule.gain_scale  # DELTA_MONOTONE or WINDOWED
+    return lambda mlen, omega: scale * omega
 
 
 def _budget_tripped(cfg: RunConfig, norm: float, cum_flops: float) -> bool:
@@ -290,6 +288,7 @@ def _transition(norm, symbols, t, cfg, masked, cum_flops, digest, tag):
     ABSTRACT passes None for ``symbols``, ``digest`` and ``tag`` (and gets
     None back). CONCRETE passes the `meaning_digest` of ``symbols``, which
     keys the noise, and for TAGGED_INJECTIVE the `context_tag` of the context.
+    A CONCRETE step to a norm past `MAX_SYMBOLS` keeps its symbols.
     """
     rule = cfg.update
     kind = rule.kind
@@ -310,22 +309,24 @@ def _transition(norm, symbols, t, cfg, masked, cum_flops, digest, tag):
 
     if symbols is None:
         mlen = 0 if masked else psi_output_length(cfg.channel, norm, t)
-        omega = cfg.measure.evaluate_length(mlen)
     else:
         noise = noise_from_digest(digest, t, cfg.channel)
         m = apply_psi(noise, tag, norm, t, cfg.channel, masked)
         mlen = len(m)
+    if symbols is None or cfg.measure.length_arithmetic:
+        omega = cfg.measure.evaluate_length(mlen)
+    else:
         omega = cfg.measure.evaluate(Meaning(m))
 
     if kind is UpdateKind.OVERWRITE:
         new_norm = float(mlen)
     else:
-        new_norm = norm + _increment(rule, mlen, omega)
+        new_norm = norm + _increment(rule)(mlen, omega)
         if kind is UpdateKind.WINDOWED and new_norm >= rule.window:
             new_norm = float(rule.window)
             events |= EVENT_BURST_HIT_W
 
-    if symbols is not None:
+    if symbols is not None and new_norm <= MAX_SYMBOLS:
         if kind is UpdateKind.OVERWRITE:
             symbols = m
         elif kind is UpdateKind.APPEND:
@@ -370,14 +371,14 @@ _CHUNK_MIN, _CHUNK_MAX, _TABLE_CELLS, _SHORT_SEGMENT = 64, 4096, 1 << 17, 16
 def run(cfg: RunConfig) -> Trajectory:
     """Iterate the recursion for the configured horizon.
 
-    A step whose new norm is not finite is flagged OVERFLOW and ends the run.
-    A deterministic CONCRETE step that leaves the state unchanged is flagged
-    FIXED_POINT and ends it too: the transition is then a fixed function of
-    the state, so the state repeats forever.
+    A step to a norm that is not finite (or, CONCRETE, above `MAX_SYMBOLS`)
+    is flagged OVERFLOW and ends the run. A deterministic CONCRETE step that
+    leaves the state unchanged is flagged FIXED_POINT and ends it too: the
+    transition is then a fixed function of the state, so it repeats forever.
 
     ABSTRACT runs over IDENTITY, TAGGED_INJECTIVE, CONSTANT and GATED take
-    the segment path; every other run takes one `_transition` per step. Both
-    give the bits a plain `step` loop gives.
+    the segment path; every other run, CONCRETE runs included, takes the
+    per-step path. Both give the bits a plain `step` loop gives.
     """
     horizon = cfg.horizon
     spec = cfg.channel
@@ -398,66 +399,102 @@ def run(cfg: RunConfig) -> Trajectory:
 
 
 def _run_steps(cfg, masked_a, columns, start=None):
-    """The per-step path: one `_transition` per step.
+    """The per-step path: `_transition` with its choices made once per run.
 
+    A CONCRETE step draws its noise inline from the rolling digest, a
+    length-arithmetic measure never sees a `Meaning`, a growing context is
+    kept as chunks joined once, and WINDOWED steps, which cut the context,
+    go through `_transition`. Rows go into the columns through memoryviews.
     ``start`` = (t, norm, cum_flops, crossed) resumes an ABSTRACT run the
     segment path began. Returns (steps, final norm, final symbols).
     """
-    norm_a, omega_a, delta_a, _, flops_a, events_a = columns
-    spec = cfg.channel
+    spec, rule, gate, measure = cfg.channel, cfg.update, cfg.budget, cfg.measure
     model = cfg.cost_model
-    full_cost = model.variant is CostVariant.FULL
-    a_attn, a_ffn = model.alpha_attn, model.alpha_ffn
-    gamma = cfg.gamma
-    t0, norm, cum_flops, crossed = start or (
-        0, float(cfg.initial_norm), 0.0, cfg.initial_norm > gamma)
-
+    full_cost, a_attn, a_ffn = model.variant is CostVariant.FULL, model.alpha_attn, model.alpha_ffn
     concrete = cfg.mode is Mode.CONCRETE
-    symbols = cfg.initial_symbols if concrete else None
-    can_stop = concrete and cfg.stop_on_fixed_point and spec.deterministic
-    growing = concrete and cfg.update.kind in _GROWING
+    overwrite, append = rule.kind is UpdateKind.OVERWRITE, rule.kind is UpdateKind.APPEND
+    windowed, growing = rule.kind is UpdateKind.WINDOWED, concrete and rule.kind in _GROWING
+    identity = spec.psi_kind is PsiKind.IDENTITY
     tagged = concrete and spec.psi_kind is PsiKind.TAGGED_INJECTIVE
-    # Rolling digest and tag hashes: fed the new symbols while they only grow.
-    hasher = hashlib.blake2b(symbols.encode(), digest_size=8) if concrete else None
-    tagger = tag_hasher(symbols) if tagged else None
-    steps = cfg.horizon
+    grow = None if overwrite else _increment(rule)
+    score = (float if measure.kind is MeasureKind.LENGTH
+             else measure.evaluate_length if measure.length_arithmetic else None)
+    can_stop = concrete and cfg.stop_on_fixed_point and spec.deterministic
+    # Noise as `noise_from_digest` draws it: zeros at temperature 0, else the
+    # first noise_len bits of keyed blake2b(digest, t, block 0).
+    n, nbytes = spec.noise_len, -(-spec.noise_len // 8)
+    zeros, bits = ("0" * n if spec.temperature == 0.0 else None), f"0{8 * nbytes}b"
+    keyed = (hashlib.blake2b(key=noise_key(spec.seed), digest_size=64)
+             if zeros is None and nbytes <= 64 else None)
 
-    for t in range(t0, cfg.horizon):
-        masked = bool(masked_a[t]) if masked_a is not None else False
-        new_norm, new_symbols, omega, delta, events = _transition(
-            norm, symbols, t, cfg, masked, cum_flops,
-            hasher.digest() if concrete else None,
-            context_tag(symbols, norm, tagger) if tagged else None)
+    symbols = cfg.initial_symbols if concrete else None
+    chunks, length, digest, tag = [symbols], len(cfg.initial_symbols), None, None
+    hasher = (hashlib.blake2b(symbols.encode(), digest_size=8)
+              if concrete and zeros is None else None)
+    tagger = tag_hasher(symbols) if tagged else None
+    rolling = [h for h in (hasher, tagger) if h]  # fed what a growing context gains
+    t0, norm, cum_flops, crossed = start or (
+        0, float(cfg.initial_norm), 0.0, cfg.initial_norm > cfg.gamma)
+    norm_m, omega_m, delta_m, _, flops_m, events_m = map(memoryview, columns)
+    steps = cfg.horizon
+    for t, masked in enumerate(repeat(False, cfg.horizon - t0) if masked_a is None
+                               else masked_a[t0:].tolist(), t0):
+        if hasher:
+            digest = hasher.digest() if growing else meaning_digest(symbols)
+        if tagged:
+            tag = (context_tag(length, norm, tagger) if growing
+                   else context_tag(symbols, norm, tag_hasher(symbols)))
+        prev, fresh, events = symbols, "", EVENT_MASKED if masked else 0
+        if windowed:
+            new_norm, symbols, omega, _, events = _transition(
+                norm, symbols, t, cfg, masked, cum_flops, digest, tag)
+        elif gate is not None and _budget_tripped(cfg, norm, cum_flops):
+            new_norm, omega, events = norm, 0.0, events | EVENT_BUDGET_FROZEN
+        else:
+            m = ""
+            if concrete and not masked:
+                if keyed:
+                    draw = keyed.copy()
+                    draw.update(digest + t.to_bytes(8, "little") + b"\0\0\0\0")
+                    noise = format(int.from_bytes(draw.digest()[:nbytes], "big"), bits)[:n]
+                else:
+                    noise = zeros or noise_from_digest(digest, t, spec)
+                m = (noise if identity else noise + tag if tagged
+                     else apply_psi(noise, tag, norm, t, spec, False))
+            mlen = len(m) if concrete else 0 if masked else psi_output_length(spec, norm, t)
+            omega = score(mlen) if score else measure.evaluate(Meaning(m))
+            new_norm = float(mlen) if overwrite else norm + grow(mlen, omega)
+            if concrete and new_norm <= MAX_SYMBOLS:
+                if overwrite:
+                    symbols = m
+                elif append:
+                    fresh = m
+                elif int(new_norm) > length:
+                    fresh = tile(m, int(new_norm) - length)
         flops = (a_attn * norm * norm + a_ffn * norm) if full_cost else flops_at(norm, model)
         cum_flops += flops
-        if not crossed and new_norm > gamma:
+        if not crossed and new_norm > cfg.gamma:
             events |= EVENT_CROSSED_GAMMA
             crossed = True
-        stop = not math.isfinite(new_norm)
+        stop = not (new_norm <= MAX_SYMBOLS if concrete else math.isfinite(new_norm))
         if stop:
             events |= EVENT_OVERFLOW
-        if concrete:
-            if can_stop and new_symbols == symbols and new_norm == norm:
-                events |= EVENT_FIXED_POINT
-                stop = True
-            if growing:
-                fresh = new_symbols[len(symbols):].encode()
-                hasher.update(fresh)
-                if tagged:
-                    tagger.update(fresh)
-            else:
-                hasher = hashlib.blake2b(new_symbols.encode(), digest_size=8)
-                tagger = tag_hasher(new_symbols) if tagged else None
-        norm_a[t] = norm
-        omega_a[t] = omega
-        delta_a[t] = delta
-        flops_a[t] = flops
-        events_a[t] = events
-        norm, symbols = new_norm, new_symbols
+        if can_stop and new_norm == norm and not fresh and symbols == prev:
+            events |= EVENT_FIXED_POINT
+            stop = True
+        if fresh:
+            chunks.append(fresh)
+            length += len(fresh)
+            data = fresh.encode()
+            for h in rolling:
+                h.update(data)
+        norm_m[t], omega_m[t], delta_m[t], flops_m[t], events_m[t] = (
+            norm, omega, new_norm - norm, flops, events)
+        norm = new_norm
         if stop:
             steps = t + 1
             break
-    return steps, norm, symbols
+    return steps, norm, "".join(chunks) if growing else symbols
 
 
 @np.errstate(over="ignore")  # an overflow is flagged, as in the float loop
@@ -513,7 +550,8 @@ def _run_segments(cfg, masked_a, columns):
             new = np.where(m, 0.0, float(mlen))
             entry = x = np.concatenate(([norm], new[:-1]))
         else:
-            inc = np.where(m, _increment(rule, 0, omega_0), _increment(rule, mlen, omega_l))
+            grow = _increment(rule)
+            inc = np.where(m, grow(0, omega_0), grow(mlen, omega_l))
             if windowed:
                 entry, x, new, hit_w = _bursts(norm, x0, inc, rule)
             else:

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from ..meanings import Meaning, concat
-from .lz78 import lz78_parse
+from .lz78 import lz78_coded_bits, lz78_parse  # noqa: F401 (perfbench/spans.py patches it)
 
 
 class SupportMismatchError(ValueError):
@@ -47,7 +47,7 @@ def raw_bits(m: Meaning, alphabet_size: int = 2) -> int:
 
 def compression_gain(m: Meaning, alphabet_size: int = 2) -> float:
     """Raw bit-length minus LZ78 coded bits, clamped at zero."""
-    return float(max(0, raw_bits(m, alphabet_size) - lz78_parse(m).coded_bits))
+    return float(max(0, raw_bits(m, alphabet_size) - lz78_coded_bits(m)))
 
 
 def unit_floor_gain(m: Meaning, alphabet_size: int = 2) -> float:

@@ -56,6 +56,22 @@ def lz78_parse(m: Meaning | str) -> Lz78Parse:
     return Lz78Parse(tuple(phrases), bits)
 
 
+def lz78_coded_bits(m: Meaning | str) -> int:
+    """``lz78_parse(m).coded_bits`` from a walk that only counts phrases: n
+    phrases spend sum(ceil(log2 i), i = 1..n) = n*k - 2**k + 1 index bits,
+    k = ceil(log2 n), plus one bit for each complete phrase."""
+    text = m.symbols if isinstance(m, Meaning) else m
+    seen, w = set(), ""
+    for ch in text:
+        w += ch
+        if w not in seen:
+            seen.add(w)
+            w = ""
+    n = len(seen) + bool(w)
+    k = (n - 1).bit_length()
+    return n * k - (1 << k) + 1 + len(seen) if n else 0
+
+
 def lz78_decode(parse: Lz78Parse) -> Meaning:
     table = [""]
     out: list[str] = []

@@ -407,6 +407,18 @@ class TestCliVerbs:
             main, ["run", str(config), "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
 
+    def test_concrete_norm_past_the_largest_float_is_a_flagged_run(self, tmp_path):
+        config = tmp_path / "runaway.ini"
+        config.write_text("[meta]\nschema = 1\n\n[scenario:runaway]\nkind = run\n"
+                          "mode = CONCRETE\npsi_kind = IDENTITY\n"
+                          "update_kind = DELTA_MONOTONE\ndelta = 1e308\n"
+                          "measure_kind = POWER_LAW\nbeta_pow = 2\nhorizon = 5\n")
+        result = CliRunner().invoke(
+            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        rows = (tmp_path / "out" / "runaway" / "base__seed0.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[-1].endswith(";OVERFLOW")
+
     def test_parse_error_exits_two(self, tmp_path):
         config = tmp_path / "bad.ini"
         config.write_text("[meta]\nschema = 1\n\n[scenario:x]\nkind = run\n"

@@ -4,12 +4,17 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loopsim
 from loopsim.channel import (
     ChannelSpec,
     PsiKind,
@@ -38,7 +43,14 @@ from loopsim.engine import (
     step,
     windowed,
 )
-from loopsim.measures import combine_measures, length_measure, power_measure
+from loopsim.engine.core import MAX_SYMBOLS
+from loopsim.measures import (
+    combine_measures,
+    compression_gain_measure,
+    fisher_measure,
+    length_measure,
+    power_measure,
+)
 
 
 def gated_channel(gamma_true, gain_lo, gain_hi, seed=0, eps=0.0, temperature=1.0):
@@ -64,17 +76,32 @@ _BITS = {name: 1 << i for i, name in enumerate(event_names(63))}
 
 @st.composite
 def run_configs(draw):
-    """Small ABSTRACT and CONCRETE configs over every update kind."""
+    """Small ABSTRACT and CONCRETE configs over every update kind.
+
+    CONCRETE draws also take CONSTANT and DECAYING ψ and symbol-dependent
+    measures; MIRROR keeps the length measure, its meanings being as long as
+    the context.
+    """
     mode = draw(st.sampled_from(Mode))
-    psi = draw(st.sampled_from([PsiKind.GATED, PsiKind.MIRROR, PsiKind.IDENTITY,
-                                PsiKind.TAGGED_INJECTIVE]))
+    kinds = [PsiKind.GATED, PsiKind.MIRROR, PsiKind.IDENTITY, PsiKind.TAGGED_INJECTIVE]
+    if mode is Mode.CONCRETE:
+        kinds += [PsiKind.CONSTANT, PsiKind.DECAYING]
+    psi = draw(st.sampled_from(kinds))
     channel = ChannelSpec(
         psi_kind=psi, temperature=draw(st.sampled_from([0.0, 1.0])),
         mask_rate=draw(st.sampled_from([constant_mask(0.0), constant_mask(0.3),
                                         power_law_mask(0.05, 0.5, 0.7)])),
         noise_len=draw(st.integers(1, 8)), seed=draw(st.integers(0, 2**16)),
         gamma_true=draw(st.floats(0.0, 20.0)), gain_lo=draw(st.integers(0, 3)),
-        gain_hi=draw(st.integers(4, 9)))
+        gain_hi=draw(st.integers(4, 9)),
+        const_meaning=draw(st.text("01", min_size=1, max_size=6)),
+        decay_len=draw(st.sampled_from([5.0, 50.0])),
+        decay_power=draw(st.sampled_from([0.5, 1.0])))
+    measure = length_measure()
+    if mode is Mode.CONCRETE and psi is not PsiKind.MIRROR:
+        measure = draw(st.sampled_from([
+            length_measure(), compression_gain_measure(), fisher_measure(0.5),
+            combine_measures(1.0, length_measure(), 0.5, compression_gain_measure())]))
     kind = draw(st.sampled_from(UpdateKind))
     if kind is UpdateKind.WINDOWED:
         rule = windowed(window=draw(st.integers(5, 60)),
@@ -90,7 +117,7 @@ def run_configs(draw):
         budget = BudgetGate(max_norm=150.0)  # MIRROR doubles the symbols
     n0 = draw(st.integers(0, 12))
     return RunConfig(
-        channel=channel, update=rule, gamma=draw(st.floats(1.0, 30.0)),
+        channel=channel, update=rule, measure=measure, gamma=draw(st.floats(1.0, 30.0)),
         horizon=draw(st.integers(1, 200)), mode=mode, initial_norm=float(n0),
         initial_symbols=draw(st.text("01", min_size=n0, max_size=n0))
         if mode is Mode.CONCRETE else "",
@@ -103,9 +130,9 @@ def step_loop(cfg):
     """Rows of `cfg` computed one `step` at a time, plus the final state.
 
     The run-level flags are added the way `run` documents them: the first
-    step above gamma is CROSSED_GAMMA, a non-finite new norm is OVERFLOW and
-    ends the run, and so does a deterministic CONCRETE step that leaves the
-    state unchanged (FIXED_POINT).
+    step above gamma is CROSSED_GAMMA, a non-finite new norm (or a CONCRETE
+    one above `MAX_SYMBOLS`) is OVERFLOW and ends the run, and so does a
+    deterministic CONCRETE step that leaves the state unchanged (FIXED_POINT).
     """
     state = cfg.initial_state()
     can_stop = (cfg.mode is Mode.CONCRETE and cfg.stop_on_fixed_point
@@ -120,7 +147,8 @@ def step_loop(cfg):
         if not crossed and new.norm > cfg.gamma:
             bits |= EVENT_CROSSED_GAMMA
             crossed = True
-        stop = not math.isfinite(new.norm)
+        stop = not math.isfinite(new.norm) or (
+            cfg.mode is Mode.CONCRETE and new.norm > MAX_SYMBOLS)
         if stop:
             bits |= EVENT_OVERFLOW
         if can_stop and new == state:
@@ -154,11 +182,13 @@ def fixed_point_configs(draw, psi):
         decay_len=draw(st.sampled_from([5.0, 50.0, 500.0])),
         decay_power=draw(st.sampled_from([0.5, 1.0, 2.0])))
     n0 = int(cfg.initial_norm)
-    budget = cfg.budget
-    if psi is PsiKind.MIRROR and budget is None:
-        budget = BudgetGate(max_norm=150.0)  # MIRROR doubles the symbols
+    budget, measure = cfg.budget, cfg.measure
+    if psi is PsiKind.MIRROR:
+        measure = length_measure()
+        if budget is None:
+            budget = BudgetGate(max_norm=150.0)  # MIRROR doubles the symbols
     return dataclasses.replace(
-        cfg, channel=channel, mode=Mode.CONCRETE, budget=budget,
+        cfg, channel=channel, mode=Mode.CONCRETE, budget=budget, measure=measure,
         initial_symbols=draw(st.text("01", min_size=n0, max_size=n0)))
 
 
@@ -174,6 +204,7 @@ def long_abstract_configs(draw, variant):
     """
     cfg = draw(run_configs())
     cfg = dataclasses.replace(cfg, mode=Mode.ABSTRACT, initial_symbols="",
+                              measure=length_measure(),
                               horizon=draw(st.integers(3_000, 12_000)))
     masks = st.sampled_from([constant_mask(0.3), power_law_mask(0.05, 0.5, 0.7)])
     if variant == "psi":
@@ -562,6 +593,48 @@ class TestGrowthRegimes:
         # The squared gain of a meaning as long as the context passes the
         # largest float before the norm does.
         self.runaway(power_measure(2.0))
+
+    def test_concrete_norm_past_the_largest_float_stops_flagged_overflow(self):
+        # delta 1e308 times a squared gain of 64: the first new norm is inf,
+        # and no string of that length is built.
+        cfg = RunConfig(
+            channel=ChannelSpec(psi_kind=PsiKind.IDENTITY, noise_len=8, seed=0),
+            update=delta_monotone(1e308), measure=power_measure(2.0),
+            gamma=10.0, horizon=5, mode=Mode.CONCRETE)
+        traj = run(cfg)
+        assert traj.steps == 1 and traj.final_norm == math.inf
+        assert traj.events[-1] & EVENT_OVERFLOW and traj.final_symbols == ""
+        assert_run_matches_step_loop(cfg)
+
+    def test_concrete_context_past_max_symbols_stops_flagged_overflow(self):
+        # MIRROR + APPEND doubles the context every step: by step 40 it would
+        # need a terabyte. The run goes in a child whose address space is
+        # capped at 2 GiB, so a missing cap ends there in a MemoryError.
+        child = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            from loopsim.channel import ChannelSpec, PsiKind
+            from loopsim.engine import (ContextState, Mode, RunConfig, UpdateKind,
+                                        UpdateRuleSpec, run, step)
+            cfg = RunConfig(channel=ChannelSpec(psi_kind=PsiKind.MIRROR, seed=3),
+                            update=UpdateRuleSpec(UpdateKind.APPEND), mode=Mode.CONCRETE,
+                            initial_norm=1.0, initial_symbols="1", horizon=40)
+            traj = run(cfg)
+            last = ContextState(Mode.CONCRETE, traj.norm[-1], traj.final_symbols)
+            new, _ = step(last, traj.steps - 1, cfg)
+            print(traj.steps, traj.final_norm, len(traj.final_symbols), traj.events[-1],
+                  new.norm, new.symbols == traj.final_symbols)
+            """)
+        src = os.path.dirname(os.path.dirname(loopsim.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        result = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                                text=True, timeout=300, env=env)
+        assert result.returncode == 0, result.stderr[-2000:]
+        # Norms 1, 2, 4, ...: step 24 would make 2**25 symbols.
+        assert result.stdout.split() == [
+            "25", str(2.0 * MAX_SYMBOLS), str(MAX_SYMBOLS), str(EVENT_OVERFLOW),
+            str(2.0 * MAX_SYMBOLS), "True"]
 
     def test_decaying_gain_growth_is_sublinear(self):
         from loopsim.engine.checks import sublinear_growth_report

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from loopsim.meanings import Meaning
 from loopsim.measures import index_bits, lz78_decode, lz78_parse
+from loopsim.measures.lz78 import lz78_coded_bits
 
 
 def reference_parse(text):
@@ -98,3 +99,23 @@ class TestRoundTrip:
         fresh = sum(symbol is not None for _, symbol in parse.phrases)
         assert parse.coded_bits == fresh + sum(
             index_bits(i) for i in range(1, len(parse.phrases) + 1))
+
+
+class TestCodedBitsCount:
+    """`lz78_coded_bits` against `lz78_parse(...).coded_bits`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text("01", max_size=2_000),
+        st.integers(0, 2_000).map(lambda n: "0" * n),
+        st.builds(lambda head, n: head + "0" * n, st.text("01", max_size=200),
+                  st.integers(0, 400))))
+    def test_equals_the_parse(self, text):
+        assert lz78_coded_bits(text) == lz78_parse(text).coded_bits
+        assert lz78_coded_bits(Meaning(text)) == lz78_parse(text).coded_bits
+
+    def test_empty_runs_and_incomplete_tails(self):
+        # "0" | "00" | "000" leaves 6 zeros complete; a 7th opens a tail "0".
+        for text in ["", "0", "00", "000000", "0000000", "0101", "01010"]:
+            assert lz78_coded_bits(text) == lz78_parse(text).coded_bits, text
+        assert lz78_parse("0000000").phrases[-1] == (1, None)
