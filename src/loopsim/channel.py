@@ -141,8 +141,11 @@ class ChannelSpec:
                 raise ValueError("gain_lo must be below gain_hi")
         if self.psi_kind is PsiKind.CONSTANT and self.const_meaning.strip("01"):
             raise ValueError("const_meaning must be binary")
-        if self.psi_kind is PsiKind.DECAYING and self.decay_len <= 0.0:
-            raise ValueError("decay_len must be positive")
+        if self.psi_kind is PsiKind.DECAYING:
+            if not 0.0 < self.decay_len < math.inf:
+                raise ValueError("decay_len must be positive and finite")
+            if not self.decay_power >= 0.0:
+                raise ValueError("decay_power must be nonnegative")
 
     @property
     def deterministic(self) -> bool:

@@ -46,8 +46,7 @@ VALID_OUTPUTS = ("csv", "json", "svg")
 _CHANNEL = ("psi_kind", "temperature", "noise_len", "seed", "const_meaning",
             "gamma_true", "gain_lo", "gain_hi", "decay_len", "decay_power")
 _MASK = ("eps0", "kappa", "alpha_decay", "mask_kind")
-_UPDATE = ("update_kind", "delta", "c1", "c2", "gain_scale", "h_kind", "window",
-           "drop_to")
+_UPDATE = ("update_kind", "delta", "gain_scale", "h_kind", "window", "drop_to")
 _COST = ("alpha_attn", "alpha_ffn", "cost_variant", "rank", "alpha_attn_r",
          "log_coeff")
 _BUDGET = ("max_flops", "max_norm")

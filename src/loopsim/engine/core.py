@@ -2,10 +2,11 @@
 
 Each step draws self-referential noise, maps it to a meaning, scores the
 meaning with the configured gain measure, and folds it into the context under
-the configured update rule. Two execution modes share one transition:
-ABSTRACT keeps only the real-valued norm ledger (exact checks, no symbol
-materialisation), CONCRETE maintains the actual symbol sequence. `run` takes
-most ABSTRACT runs in vectorised segments and the rest one step at a time.
+the configured update rule. ABSTRACT mode keeps only the real-valued norm
+ledger (exact checks, no symbol materialisation), CONCRETE mode maintains the
+actual symbol sequence. `step` is the one reference transition; `run` takes
+most ABSTRACT runs in vectorised segments and the rest one step at a time,
+and both give the bits a `step` loop gives.
 """
 
 from __future__ import annotations
@@ -64,8 +65,6 @@ class SublinearKind(str, Enum):
     LOG1P = "LOG1P"
 
 
-# Update kinds whose symbol sequence only ever grows by appends.
-_GROWING = (UpdateKind.APPEND, UpdateKind.DELTA_MONOTONE, UpdateKind.SUBLINEAR)
 # A CONCRETE step to a norm above this (or not finite) keeps its symbols, and
 # the run ends there flagged OVERFLOW: MIRROR + APPEND doubles them each step.
 MAX_SYMBOLS = 1 << 24
@@ -75,16 +74,14 @@ MAX_SYMBOLS = 1 << 24
 class UpdateRuleSpec:
     """Context-update rule.
 
-    DELTA_MONOTONE grows the norm by delta * gain_scale * gain(m) with
-    c1 <= gain_scale <= c2; WINDOWED does the same under a hard cap: a step
-    that would reach ``window`` records exactly ``window``, and the context is
-    truncated to ``drop_to`` at the start of the following step.
+    DELTA_MONOTONE grows the norm by delta * gain_scale * gain(m);
+    WINDOWED does the same under a hard cap: a step that would reach
+    ``window`` records exactly ``window``, and the context is truncated to
+    ``drop_to`` at the start of the following step.
     """
 
     kind: UpdateKind = UpdateKind.APPEND
     delta: float = 1.0
-    c1: float = 1.0
-    c2: float = 1.0
     gain_scale: float = 1.0
     h_kind: SublinearKind = SublinearKind.LOG1P
     window: int = 0
@@ -94,10 +91,8 @@ class UpdateRuleSpec:
         if self.kind in (UpdateKind.DELTA_MONOTONE, UpdateKind.WINDOWED):
             if self.delta <= 0.0:
                 raise ValueError("delta must be positive")
-            if not 0.0 < self.c1 <= self.c2:
-                raise ValueError("need 0 < c1 <= c2")
-            if not self.c1 <= self.gain_scale <= self.c2:
-                raise ValueError("gain_scale must lie in [c1, c2]")
+            if self.gain_scale <= 0.0:
+                raise ValueError("gain_scale must be positive")
         if self.kind is UpdateKind.WINDOWED:
             if self.window < 1:
                 raise ValueError("window must be at least 1")
@@ -105,10 +100,8 @@ class UpdateRuleSpec:
                 raise ValueError("drop_to must lie in [0, window)")
 
 
-def delta_monotone(delta: float, gain_scale: float = 1.0,
-                   c1: float = 1.0, c2: float = 1.0) -> UpdateRuleSpec:
-    return UpdateRuleSpec(UpdateKind.DELTA_MONOTONE, delta=delta,
-                          c1=c1, c2=c2, gain_scale=gain_scale)
+def delta_monotone(delta: float, gain_scale: float = 1.0) -> UpdateRuleSpec:
+    return UpdateRuleSpec(UpdateKind.DELTA_MONOTONE, delta=delta, gain_scale=gain_scale)
 
 
 def windowed(window: int, delta: float = 1.0, drop_to: float = 0.0) -> UpdateRuleSpec:
@@ -164,9 +157,13 @@ class RunConfig:
             raise ValueError(
                 "ABSTRACT mode supports length-arithmetic measures only; "
                 "symbol-dependent measures need CONCRETE mode")
-        if self.mode is Mode.CONCRETE and self.initial_symbols:
-            if len(self.initial_symbols) != int(self.initial_norm):
+        if self.mode is Mode.CONCRETE:
+            if self.initial_symbols and len(self.initial_symbols) != int(self.initial_norm):
                 raise ValueError("initial_norm must equal len(initial_symbols)")
+            if not self.initial_norm <= MAX_SYMBOLS:
+                raise ValueError(f"a CONCRETE initial_norm must be at most {MAX_SYMBOLS}")
+            if psi_output_length(self.channel, MAX_SYMBOLS, 0) > MAX_SYMBOLS:
+                raise ValueError(f"a CONCRETE meaning must be at most {MAX_SYMBOLS} long")
 
     @property
     def seed(self) -> int:
@@ -282,79 +279,60 @@ def _budget_tripped(cfg: RunConfig, norm: float, cum_flops: float) -> bool:
     return False
 
 
-def _transition(norm, symbols, t, cfg, masked, cum_flops, digest, tag):
-    """Returns (new_norm, new_symbols, omega, delta, event_bits).
-
-    ABSTRACT passes None for ``symbols``, ``digest`` and ``tag`` (and gets
-    None back). CONCRETE passes the `meaning_digest` of ``symbols``, which
-    keys the noise, and for TAGGED_INJECTIVE the `context_tag` of the context.
-    A CONCRETE step to a norm past `MAX_SYMBOLS` keeps its symbols.
-    """
-    rule = cfg.update
-    kind = rule.kind
-    events = EVENT_MASKED if masked else 0
-
-    if _budget_tripped(cfg, norm, cum_flops):
-        return norm, symbols, 0.0, 0.0, events | EVENT_BUDGET_FROZEN
-
-    entry_norm = norm
-    if kind is UpdateKind.WINDOWED and norm >= rule.window:
-        norm = float(rule.drop_to)
-        if symbols is not None:
-            keep = int(rule.drop_to)
-            symbols = symbols[len(symbols) - keep:] if keep else ""
-            digest = meaning_digest(symbols)
-            if tag is not None:
-                tag = context_tag(symbols, norm, tag_hasher(symbols))
-
-    if symbols is None:
-        mlen = 0 if masked else psi_output_length(cfg.channel, norm, t)
-    else:
-        noise = noise_from_digest(digest, t, cfg.channel)
-        m = apply_psi(noise, tag, norm, t, cfg.channel, masked)
-        mlen = len(m)
-    if symbols is None or cfg.measure.length_arithmetic:
-        omega = cfg.measure.evaluate_length(mlen)
-    else:
-        omega = cfg.measure.evaluate(Meaning(m))
-
-    if kind is UpdateKind.OVERWRITE:
-        new_norm = float(mlen)
-    else:
-        new_norm = norm + _increment(rule)(mlen, omega)
-        if kind is UpdateKind.WINDOWED and new_norm >= rule.window:
-            new_norm = float(rule.window)
-            events |= EVENT_BURST_HIT_W
-
-    if symbols is not None and new_norm <= MAX_SYMBOLS:
-        if kind is UpdateKind.OVERWRITE:
-            symbols = m
-        elif kind is UpdateKind.APPEND:
-            symbols += m
-        elif int(new_norm) > len(symbols):
-            symbols += tile(m, int(new_norm) - len(symbols))
-    return new_norm, symbols, omega, new_norm - entry_norm, events
-
-
 def step(state: ContextState, t: int, cfg: RunConfig,
          cum_flops: float = 0.0) -> tuple[ContextState, StepRecord]:
-    """One transition of the recursion, as a pure function of the state.
+    """One transition of the recursion, as a pure function of the state: the
+    slow reference that `run` is checked against.
 
     ``cum_flops`` is the compute already spent, consulted by the budget gate.
+    A WINDOWED context at or above its window is first cut to ``drop_to``;
+    then noise keyed by the context becomes a meaning, the meaning is scored,
+    and the context is updated. A CONCRETE step to a norm past `MAX_SYMBOLS`
+    keeps its symbols.
     """
-    spec = cfg.channel
+    spec, rule, kind = cfg.channel, cfg.update, cfg.update.kind
     eps_t = 0.0 if spec.mask_rate.is_zero else epsilon_at(max(t, 1), spec.mask_rate)
     masked = eps_t > 0.0 and mask_u01(spec, t) < eps_t
     flops = flops_at(state.norm, cfg.cost_model)
-    symbols = state.symbols if cfg.mode is Mode.CONCRETE else None
-    digest = None if symbols is None else meaning_digest(symbols)
-    tag = (None if symbols is None or spec.psi_kind is not PsiKind.TAGGED_INJECTIVE
-           else context_tag(symbols, state.norm, tag_hasher(symbols)))
-    new_norm, new_symbols, omega, delta, events = _transition(
-        state.norm, symbols, t, cfg, masked, cum_flops, digest, tag)
-    new_state = replace(state, norm=new_norm, symbols=new_symbols or "")
-    return new_state, StepRecord(
-        t, state.norm, omega, delta, eps_t, flops, event_names(events))
+    events = EVENT_MASKED if masked else 0
+    norm, symbols = state.norm, state.symbols
+
+    if _budget_tripped(cfg, norm, cum_flops):
+        new_norm, omega, events = norm, 0.0, events | EVENT_BUDGET_FROZEN
+    else:
+        if kind is UpdateKind.WINDOWED and norm >= rule.window:
+            norm = float(rule.drop_to)
+            keep = int(rule.drop_to)
+            symbols = symbols[len(symbols) - keep:] if keep else ""
+        if cfg.mode is Mode.CONCRETE:
+            tag = (context_tag(symbols, norm, tag_hasher(symbols))
+                   if spec.psi_kind is PsiKind.TAGGED_INJECTIVE else "")
+            noise = noise_from_digest(meaning_digest(symbols), t, spec)
+            m = apply_psi(noise, tag, norm, t, spec, masked)
+            mlen = len(m)
+        else:
+            mlen = 0 if masked else psi_output_length(spec, norm, t)
+        omega = (cfg.measure.evaluate_length(mlen) if cfg.measure.length_arithmetic
+                 else cfg.measure.evaluate(Meaning(m)))
+
+        if kind is UpdateKind.OVERWRITE:
+            new_norm = float(mlen)
+        else:
+            new_norm = norm + _increment(rule)(mlen, omega)
+            if kind is UpdateKind.WINDOWED and new_norm >= rule.window:
+                new_norm = float(rule.window)
+                events |= EVENT_BURST_HIT_W
+
+        if cfg.mode is Mode.CONCRETE and new_norm <= MAX_SYMBOLS:
+            if kind is UpdateKind.OVERWRITE:
+                symbols = m
+            elif kind is UpdateKind.APPEND:
+                symbols += m
+            elif int(new_norm) > len(symbols):
+                symbols += tile(m, int(new_norm) - len(symbols))
+    new_state = replace(state, norm=new_norm, symbols=symbols)
+    return new_state, StepRecord(t, state.norm, omega, new_norm - state.norm, eps_t,
+                                 flops, event_names(events))
 
 
 # ψ kinds whose meaning length depends on the norm at most through GATED's
@@ -399,21 +377,24 @@ def run(cfg: RunConfig) -> Trajectory:
 
 
 def _run_steps(cfg, masked_a, columns, start=None):
-    """The per-step path: `_transition` with its choices made once per run.
+    """The per-step path: `step`'s arithmetic with its choices made once per
+    run, in `step`'s order: the budget gate, the WINDOWED cut, then the step.
 
     A CONCRETE step draws its noise inline from the rolling digest, a
-    length-arithmetic measure never sees a `Meaning`, a growing context is
-    kept as chunks joined once, and WINDOWED steps, which cut the context,
-    go through `_transition`. Rows go into the columns through memoryviews.
-    ``start`` = (t, norm, cum_flops, crossed) resumes an ABSTRACT run the
-    segment path began. Returns (steps, final norm, final symbols).
+    length-arithmetic measure never sees a `Meaning`, and a context that
+    grows by appends is kept as chunks joined once; a WINDOWED cut restarts
+    the chunks, the digest and the tag from the symbols it keeps. Rows go
+    into the columns through memoryviews. ``start`` = (t, norm, cum_flops,
+    crossed) resumes an ABSTRACT run the segment path began. Returns
+    (steps, final norm, final symbols).
     """
     spec, rule, gate, measure = cfg.channel, cfg.update, cfg.budget, cfg.measure
     model = cfg.cost_model
     full_cost, a_attn, a_ffn = model.variant is CostVariant.FULL, model.alpha_attn, model.alpha_ffn
     concrete = cfg.mode is Mode.CONCRETE
     overwrite, append = rule.kind is UpdateKind.OVERWRITE, rule.kind is UpdateKind.APPEND
-    windowed, growing = rule.kind is UpdateKind.WINDOWED, concrete and rule.kind in _GROWING
+    windowed, growing = rule.kind is UpdateKind.WINDOWED, concrete and not overwrite
+    window, drop_to, keep = float(rule.window), float(rule.drop_to), int(rule.drop_to)
     identity = spec.psi_kind is PsiKind.IDENTITY
     tagged = concrete and spec.psi_kind is PsiKind.TAGGED_INJECTIVE
     grow = None if overwrite else _increment(rule)
@@ -427,30 +408,37 @@ def _run_steps(cfg, masked_a, columns, start=None):
     keyed = (hashlib.blake2b(key=noise_key(spec.seed), digest_size=64)
              if zeros is None and nbytes <= 64 else None)
 
+    def restart(text):
+        """Chunks, length, digest hasher and tag hasher of a context ``text``."""
+        return ([text], len(text),
+                hashlib.blake2b(text.encode(), digest_size=8)
+                if concrete and zeros is None else None,
+                tag_hasher(text) if tagged else None)
+
     symbols = cfg.initial_symbols if concrete else None
-    chunks, length, digest, tag = [symbols], len(cfg.initial_symbols), None, None
-    hasher = (hashlib.blake2b(symbols.encode(), digest_size=8)
-              if concrete and zeros is None else None)
-    tagger = tag_hasher(symbols) if tagged else None
-    rolling = [h for h in (hasher, tagger) if h]  # fed what a growing context gains
+    chunks, length, hasher, tagger = restart(cfg.initial_symbols)
     t0, norm, cum_flops, crossed = start or (
         0, float(cfg.initial_norm), 0.0, cfg.initial_norm > cfg.gamma)
     norm_m, omega_m, delta_m, _, flops_m, events_m = map(memoryview, columns)
     steps = cfg.horizon
     for t, masked in enumerate(repeat(False, cfg.horizon - t0) if masked_a is None
                                else masked_a[t0:].tolist(), t0):
-        if hasher:
-            digest = hasher.digest() if growing else meaning_digest(symbols)
-        if tagged:
-            tag = (context_tag(length, norm, tagger) if growing
-                   else context_tag(symbols, norm, tag_hasher(symbols)))
         prev, fresh, events = symbols, "", EVENT_MASKED if masked else 0
-        if windowed:
-            new_norm, symbols, omega, _, events = _transition(
-                norm, symbols, t, cfg, masked, cum_flops, digest, tag)
-        elif gate is not None and _budget_tripped(cfg, norm, cum_flops):
+        if gate is not None and _budget_tripped(cfg, norm, cum_flops):
             new_norm, omega, events = norm, 0.0, events | EVENT_BUDGET_FROZEN
         else:
+            x = norm  # the norm the step adds to, after any WINDOWED cut
+            if windowed and norm >= window:
+                x = drop_to
+                if concrete:
+                    prev = "".join(chunks)
+                    symbols = prev[length - keep:] if keep else ""
+                    chunks, length, hasher, tagger = restart(symbols)
+            if hasher:
+                digest = hasher.digest() if growing else meaning_digest(symbols)
+            if tagged:
+                tag = (context_tag(length, x, tagger) if growing
+                       else context_tag(symbols, x, tag_hasher(symbols)))
             m = ""
             if concrete and not masked:
                 if keyed:
@@ -460,10 +448,12 @@ def _run_steps(cfg, masked_a, columns, start=None):
                 else:
                     noise = zeros or noise_from_digest(digest, t, spec)
                 m = (noise if identity else noise + tag if tagged
-                     else apply_psi(noise, tag, norm, t, spec, False))
-            mlen = len(m) if concrete else 0 if masked else psi_output_length(spec, norm, t)
+                     else apply_psi(noise, "", x, t, spec, False))
+            mlen = len(m) if concrete else 0 if masked else psi_output_length(spec, x, t)
             omega = score(mlen) if score else measure.evaluate(Meaning(m))
-            new_norm = float(mlen) if overwrite else norm + grow(mlen, omega)
+            new_norm = float(mlen) if overwrite else x + grow(mlen, omega)
+            if windowed and new_norm >= window:
+                new_norm, events = window, events | EVENT_BURST_HIT_W
             if concrete and new_norm <= MAX_SYMBOLS:
                 if overwrite:
                     symbols = m
@@ -479,14 +469,16 @@ def _run_steps(cfg, masked_a, columns, start=None):
         stop = not (new_norm <= MAX_SYMBOLS if concrete else math.isfinite(new_norm))
         if stop:
             events |= EVENT_OVERFLOW
-        if can_stop and new_norm == norm and not fresh and symbols == prev:
+        # The step took the context from ``prev`` to ``symbols`` + ``fresh``:
+        # a growing one's ``symbols`` is ``prev`` unless a cut kept its tail.
+        if can_stop and new_norm == norm and symbols + fresh == prev:
             events |= EVENT_FIXED_POINT
             stop = True
         if fresh:
             chunks.append(fresh)
             length += len(fresh)
             data = fresh.encode()
-            for h in rolling:
+            for h in filter(None, (hasher, tagger)):
                 h.update(data)
         norm_m[t], omega_m[t], delta_m[t], flops_m[t], events_m[t] = (
             norm, omega, new_norm - norm, flops, events)

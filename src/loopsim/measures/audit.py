@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..channel import tile
 from ..meanings import Meaning, concat, edit_distance, random_bits
 from .core import MeasureSpec, symmetrised_kl
 from .lz78 import lz78_coded_bits, lz78_parse  # noqa: F401 (perfbench/spans.py patches it)
@@ -97,7 +98,7 @@ def default_sampler(rng: np.random.Generator, max_len: int = 64) -> Meaning:
         return Meaning(("1" if rng.random() < 0.5 else "0") * n)
     period = int(rng.integers(1, 5))
     unit = random_bits(rng, period)
-    return Meaning((unit * (n // period + 1))[:n])
+    return Meaning(tile(unit, n))
 
 
 def audit_measure(

@@ -38,19 +38,12 @@ def length_gain(m: Meaning) -> float:
     return float(len(m))
 
 
-def raw_bits(m: Meaning, alphabet_size: int = 2) -> int:
-    """Uncoded size in bits: one symbol costs ceil(log2 |alphabet|) bits."""
-    if alphabet_size < 2:
-        raise ValueError("alphabet_size must be at least 2")
-    return len(m) * (alphabet_size - 1).bit_length()
+def compression_gain(m: Meaning) -> float:
+    """Length in bits (one a symbol) minus LZ78 coded bits, clamped at zero."""
+    return float(max(0, len(m) - lz78_coded_bits(m)))
 
 
-def compression_gain(m: Meaning, alphabet_size: int = 2) -> float:
-    """Raw bit-length minus LZ78 coded bits, clamped at zero."""
-    return float(max(0, raw_bits(m, alphabet_size) - lz78_coded_bits(m)))
-
-
-def unit_floor_gain(m: Meaning, alphabet_size: int = 2) -> float:
+def unit_floor_gain(m: Meaning) -> float:
     """compression_gain with a floor of 1 on non-empty input.
 
     Opt-in wrapper for scenarios that need every non-empty emission to score
@@ -58,7 +51,7 @@ def unit_floor_gain(m: Meaning, alphabet_size: int = 2) -> float:
     """
     if m.is_empty:
         return 0.0
-    return max(1.0, compression_gain(m, alphabet_size))
+    return max(1.0, compression_gain(m))
 
 
 def power_gain(m: Meaning, exponent: float) -> float:
@@ -173,14 +166,13 @@ class MeasureSpec:
     bases: Mapping[str, float] | None = None
     bonus: Mapping[tuple[str, str], float] | None = None
     combo: tuple[float, "MeasureSpec", float, "MeasureSpec"] | None = None
-    alphabet_size: int = 2
     lipschitz_bound: float | None = None
 
     def evaluate(self, m: Meaning) -> float:
         if self.kind is MeasureKind.LENGTH:
             return length_gain(m)
         if self.kind is MeasureKind.COMPRESSION_GAIN:
-            return compression_gain(m, self.alphabet_size)
+            return compression_gain(m)
         if self.kind is MeasureKind.POWER_LAW:
             return power_gain(m, self.exponent)
         if self.kind is MeasureKind.FISHER:
@@ -232,10 +224,8 @@ def length_measure() -> MeasureSpec:
     return MeasureSpec(MeasureKind.LENGTH, lipschitz_bound=1.0)
 
 
-def compression_gain_measure(alphabet_size: int = 2) -> MeasureSpec:
-    return MeasureSpec(
-        MeasureKind.COMPRESSION_GAIN, alphabet_size=alphabet_size, lipschitz_bound=1.0
-    )
+def compression_gain_measure() -> MeasureSpec:
+    return MeasureSpec(MeasureKind.COMPRESSION_GAIN, lipschitz_bound=1.0)
 
 
 def power_measure(exponent: float = 2.0) -> MeasureSpec:

@@ -563,6 +563,7 @@ class TestCliVerbs:
     @pytest.mark.parametrize("line,field", [
         ("gama = 5", "gama"), ("horizn = 100", "horizn"), ("sweep_gama = 1,2", "gama"),
         ("schedule = SYNCHRONOUS", "schedule"),  # a swarm field on a run scenario
+        ("c1 = 1", "c1"),
     ])
     def test_unknown_field_exits_two_naming_it(self, tmp_path, line, field):
         config = tmp_path / "bad.ini"
@@ -571,6 +572,22 @@ class TestCliVerbs:
             main, ["run", str(config), "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert f"scenario 'tiny', field {field!r}: unknown field" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lines", [
+        "mode = CONCRETE\npsi_kind = DECAYING\ndecay_len = 1e300\n",
+        "mode = CONCRETE\npsi_kind = DECAYING\ndecay_len = 1e10\n",
+        "mode = ABSTRACT\npsi_kind = DECAYING\ndecay_len = inf\n",
+        "mode = CONCRETE\npsi_kind = MIRROR\ninitial_norm = 1e300\n",
+    ], ids=["decay_len_1e300", "decay_len_1e10", "decay_len_inf", "mirror_from_1e300"])
+    def test_a_meaning_past_max_symbols_exits_two_naming_it(self, tmp_path, lines):
+        config = tmp_path / "bad.ini"
+        config.write_text("[meta]\nschema = 1\n\n[scenario:tiny]\nkind = run\n"
+                          "update_kind = OVERWRITE\nhorizon = 3\n" + lines)
+        result = CliRunner().invoke(
+            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "error: scenario 'tiny': " in result.output
         assert not (tmp_path / "out").exists()
 
     def test_summary_is_written_without_json_output(self, tmp_path):

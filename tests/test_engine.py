@@ -104,9 +104,11 @@ def run_configs(draw):
             combine_measures(1.0, length_measure(), 0.5, compression_gain_measure())]))
     kind = draw(st.sampled_from(UpdateKind))
     if kind is UpdateKind.WINDOWED:
+        # A fractional drop_to: the CONCRETE cut keeps int(drop_to) symbols
+        # while the norm keeps the remainder.
         rule = windowed(window=draw(st.integers(5, 60)),
                         delta=draw(st.sampled_from([0.5, 1.0, 1.5])),
-                        drop_to=float(draw(st.integers(0, 4))))
+                        drop_to=draw(st.integers(0, 8)) / 2)
     elif kind is UpdateKind.DELTA_MONOTONE:
         rule = delta_monotone(draw(st.sampled_from([0.25, 0.5, 1.0])))
     else:
@@ -247,7 +249,7 @@ def long_concrete_configs(draw, kind):
     if kind is UpdateKind.WINDOWED:
         rule = windowed(window=draw(st.integers(20, 400)),
                         delta=draw(st.sampled_from([0.5, 1.0, 1.5])),
-                        drop_to=float(draw(st.integers(0, 12))))
+                        drop_to=draw(st.integers(0, 24)) / 2)
     else:
         rule = UpdateRuleSpec(kind)
     return dataclasses.replace(
@@ -635,6 +637,32 @@ class TestGrowthRegimes:
         assert result.stdout.split() == [
             "25", str(2.0 * MAX_SYMBOLS), str(MAX_SYMBOLS), str(EVENT_OVERFLOW),
             str(2.0 * MAX_SYMBOLS), "True"]
+
+    @pytest.mark.parametrize("mode,channel,initial_norm", [
+        (Mode.CONCRETE, dict(psi_kind=PsiKind.DECAYING, decay_len=1e300), 0.0),
+        (Mode.CONCRETE, dict(psi_kind=PsiKind.DECAYING, decay_len=1e10), 0.0),
+        (Mode.ABSTRACT, dict(psi_kind=PsiKind.DECAYING, decay_len=math.inf), 0.0),
+        (Mode.ABSTRACT, dict(psi_kind=PsiKind.DECAYING, decay_len=5.0,
+                             decay_power=-1.0), 0.0),
+        (Mode.CONCRETE, dict(psi_kind=PsiKind.GATED, gain_hi=MAX_SYMBOLS + 1), 0.0),
+        (Mode.CONCRETE, dict(psi_kind=PsiKind.MIRROR), 1e300),
+    ], ids=["decay_len_1e300", "decay_len_1e10", "decay_len_inf", "growing_decay",
+            "gain_hi", "mirror_from_1e300"])
+    def test_a_meaning_past_max_symbols_is_refused_at_load(self, mode, channel,
+                                                          initial_norm):
+        # Each would build its first meaning before any norm check: a bare
+        # OverflowError, or a 10 GB string for decay_len 1e10.
+        with pytest.raises(ValueError):
+            RunConfig(channel=ChannelSpec(**channel),
+                      update=UpdateRuleSpec(UpdateKind.OVERWRITE),
+                      mode=mode, initial_norm=initial_norm, horizon=3)
+
+    def test_abstract_decaying_run_takes_a_huge_decay_len(self):
+        cfg = RunConfig(channel=ChannelSpec(psi_kind=PsiKind.DECAYING, decay_len=1e300),
+                        update=UpdateRuleSpec(UpdateKind.OVERWRITE), horizon=3)
+        traj = run(cfg)
+        assert traj.steps == 3 and 1e299 < traj.final_norm < math.inf
+        assert_run_matches_step_loop(cfg)
 
     def test_decaying_gain_growth_is_sublinear(self):
         from loopsim.engine.checks import sublinear_growth_report
