@@ -105,7 +105,7 @@ def _status(passed) -> str:
 def _delta_eps(cfg) -> tuple[float, float]:
     """The drift per step above the gate and the mask rate at t = 1."""
     eps = 0.0 if cfg.channel.mask_rate.is_zero else epsilon_at(1, cfg.channel.mask_rate)
-    return cfg.update.delta * cfg.update.gain_scale, eps
+    return cfg.update.scale, eps
 
 
 def _verdicts(table, names, *args) -> list[dict]:
@@ -376,7 +376,7 @@ def _tagged_sampler(rng):
 
 def _audit_length(samples, seed):
     report = audit_measure(length_measure(), samples=samples, seed=seed)
-    return [_verdict("length_axioms", _status(report.clean), json.loads(report.to_json()))]
+    return [_verdict("length_axioms", _status(report.clean), report.as_dict())]
 
 
 def _audit_compression_gain(samples, seed):
@@ -420,7 +420,7 @@ def _audit_declared_bonus(samples, seed):
                             {("1", "2"): 0.5, ("2", "1"): 0.5})
     report = audit_measure(spec, sampler=_tagged_sampler, samples=samples, seed=seed)
     return [_verdict("declared_bonus_axioms", _status(report.clean),
-                     json.loads(report.to_json()))]
+                     report.as_dict())]
 
 
 def _audit_skl(samples, seed):

@@ -80,29 +80,23 @@ def flops_array(norms, model: CostModel) -> np.ndarray:
     return np.where(x == 0.0, 0.0, f)
 
 
-GROWTH_QUADRATIC = "QUADRATIC"
-GROWTH_LINEAR = "LINEAR"
-GROWTH_FLAT = "FLAT"
-
-
 @dataclass(frozen=True)
 class ComputeReport:
     instantaneous: np.ndarray
     cumulative: np.ndarray
     slope: float
-    classification: str
 
 
 def cumulative_compute(
     norms, model: CostModel, fit_window: tuple[int, int] = (100, 10_000)
 ) -> ComputeReport:
-    """Cumulative cost along a norm series plus a log-log growth classification.
+    """Per-step and cumulative cost along a norm series, and the growth slope.
 
     ``norms`` is an array of per-step context sizes (a Trajectory's ``norms``
-    attribute is used when present). The slope of log flops(t) against log t
-    over the fit window classifies growth: about 2 for FULL attention on a
-    linearly diverging context, about 1 for bounded-rank attention, and about
-    0 for frozen or capped runs.
+    attribute is used when present). ``slope`` is the least-squares slope of
+    log flops(t), the per-step cost, against log t over the fit window: about
+    2 for FULL attention on a linearly diverging context, about 1 for
+    bounded-rank attention, and about 0 for frozen or capped runs.
     """
     series = np.asarray(getattr(norms, "norms", norms), dtype=float)
     inst = flops_array(np.maximum(series, 0.0), model)
@@ -115,10 +109,4 @@ def cumulative_compute(
         slope = float(np.polyfit(np.log(t[window]), np.log(inst[window]), 1)[0])
     else:
         slope = 0.0
-    if slope >= 1.5:
-        label = GROWTH_QUADRATIC
-    elif slope >= 0.5:
-        label = GROWTH_LINEAR
-    else:
-        label = GROWTH_FLAT
-    return ComputeReport(inst, cum, slope, label)
+    return ComputeReport(inst, cum, slope)

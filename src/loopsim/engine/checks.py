@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..channel import ChannelSpec, PsiKind, apply_psi, context_tag, derive_seed
-from ..meanings import Meaning, random_bits
-from ..measures import MeasureSpec, length_measure
+from ..meanings import random_bits
 from .core import (
     EVENT_BUDGET_FROZEN,
     EVENT_BURST_HIT_W,
@@ -135,7 +134,7 @@ def verify_bounded(traj: Trajectory, gamma: float) -> BoundedReport:
     norms = traj.norms
     if norms[0] > gamma:
         raise PreconditionError(
-            f"initial norm {norms[0]!r} exceeds the threshold {gamma!r}")
+            f"initial norm {float(norms[0])!r} exceeds the threshold {gamma!r}")
     max_norm = float(norms.max())
     return BoundedReport(max_norm=max_norm, lyapunov_max=max(0.0, max_norm - gamma))
 
@@ -154,27 +153,25 @@ def estimate_gamma_star(
     iterations: int = 20,
     mc_samples: int = 32,
     seed: int = 0,
-    measure: MeasureSpec | None = None,
 ) -> GammaStarEstimate:
     """Bisect for the smallest context size above which every emission gains.
 
     Each probe x draws contexts with norms in [x, x + span] (always including
     x itself), applies the channel valve-free, and asks whether the smallest
-    observed gain is strictly positive. The estimate carries its bisection
-    resolution (hi - lo) / 2**iterations.
+    observed gain, the meaning length, is strictly positive. The estimate
+    carries its bisection resolution (hi - lo) / 2**iterations.
     """
     if not 0.0 < lo < hi:
         raise BracketError(f"need 0 < lo < hi, got [{lo!r}, {hi!r}]")
     if iterations < 1 or mc_samples < 1:
         raise BracketError("iterations and mc_samples must be positive")
-    measure = measure or length_measure()
     rng = np.random.default_rng(derive_seed(seed, "gamma-star"))
     span = (hi - lo) / 4.0
 
     def gain_at(norm: float) -> float:
         noise = random_bits(rng, channel.noise_len)
         tag = context_tag("", norm, None) if channel.psi_kind is PsiKind.TAGGED_INJECTIVE else ""
-        return measure.evaluate(Meaning(apply_psi(noise, tag, norm, 0, channel, False)))
+        return float(len(apply_psi(noise, tag, norm, 0, channel, False)))
 
     def always_gains(x: float) -> bool:
         norms = [x] + list(x + rng.uniform(0.0, span, size=mc_samples - 1))
@@ -231,7 +228,7 @@ def burst_stats(traj: Trajectory, window: int) -> BurstReport:
 
     A burst is a step that lifts the norm to exactly the cap from below. On
     gated runs the gap between consecutive bursts must stay within
-    ceil((W - drop_to) / (delta * (1 - eps0) * gamma)).
+    ceil((W - drop_to) / (delta * gain_scale * (1 - eps0) * gamma)).
     """
     rule = traj.config.update
     if rule.kind is not UpdateKind.WINDOWED or rule.window != window:
@@ -246,7 +243,7 @@ def burst_stats(traj: Trajectory, window: int) -> BurstReport:
     channel = traj.config.channel
     if channel.psi_kind is PsiKind.GATED:
         eps0 = channel.mask_rate.eps0
-        drift = rule.delta * (1.0 - eps0) * traj.config.gamma
+        drift = rule.scale * (1.0 - eps0) * traj.config.gamma
         gap_bound = math.ceil((window - rule.drop_to) / drift)
         gaps_ok = all(g <= gap_bound for g in gaps)
 

@@ -74,7 +74,8 @@ MAX_SYMBOLS = 1 << 24
 class UpdateRuleSpec:
     """Context-update rule.
 
-    DELTA_MONOTONE grows the norm by delta * gain_scale * gain(m);
+    DELTA_MONOTONE grows the norm by scale * gain(m), where scale is
+    delta * gain_scale;
     WINDOWED does the same under a hard cap: a step that would reach
     ``window`` records exactly ``window``, and the context is truncated to
     ``drop_to`` at the start of the following step.
@@ -98,6 +99,11 @@ class UpdateRuleSpec:
                 raise ValueError("window must be at least 1")
             if not 0.0 <= self.drop_to < self.window:
                 raise ValueError("drop_to must lie in [0, window)")
+
+    @property
+    def scale(self) -> float:
+        """What DELTA_MONOTONE and WINDOWED add per unit of gain."""
+        return self.delta * self.gain_scale
 
 
 def delta_monotone(delta: float, gain_scale: float = 1.0) -> UpdateRuleSpec:
@@ -157,24 +163,18 @@ class RunConfig:
             raise ValueError(
                 "ABSTRACT mode supports length-arithmetic measures only; "
                 "symbol-dependent measures need CONCRETE mode")
+        if self.mode is Mode.ABSTRACT and self.initial_symbols:
+            raise ValueError("an ABSTRACT run takes no initial_symbols")
         if self.mode is Mode.CONCRETE:
-            if self.initial_symbols and len(self.initial_symbols) != int(self.initial_norm):
-                raise ValueError("initial_norm must equal len(initial_symbols)")
             if not self.initial_norm <= MAX_SYMBOLS:
                 raise ValueError(f"a CONCRETE initial_norm must be at most {MAX_SYMBOLS}")
+            if len(self.initial_symbols) != int(self.initial_norm):
+                raise ValueError("a CONCRETE initial_norm must equal len(initial_symbols)")
             if psi_output_length(self.channel, MAX_SYMBOLS, 0) > MAX_SYMBOLS:
                 raise ValueError(f"a CONCRETE meaning must be at most {MAX_SYMBOLS} long")
 
-    @property
-    def seed(self) -> int:
-        return self.channel.seed
-
     def initial_state(self) -> ContextState:
-        return ContextState(
-            mode=self.mode,
-            norm=float(self.initial_norm),
-            symbols=self.initial_symbols if self.mode is Mode.CONCRETE else "",
-        )
+        return ContextState(self.mode, float(self.initial_norm), self.initial_symbols)
 
 
 EVENT_MASKED = 1
@@ -264,7 +264,7 @@ def _increment(rule: UpdateRuleSpec):
     if rule.kind is UpdateKind.SUBLINEAR:
         h = math.sqrt if rule.h_kind is SublinearKind.SQRT else math.log1p
         return lambda mlen, omega: h(omega)
-    scale = rule.delta * rule.gain_scale  # DELTA_MONOTONE or WINDOWED
+    scale = rule.scale  # DELTA_MONOTONE or WINDOWED
     return lambda mlen, omega: scale * omega
 
 

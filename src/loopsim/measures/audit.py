@@ -11,7 +11,6 @@ recorded verbatim so they can be replayed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -74,8 +73,8 @@ class AuditReport:
     def violations(self, property_name: str) -> list[Counterexample]:
         return [c for c in self.counterexamples if c.property_name == property_name]
 
-    def to_json(self, **dump_kwargs) -> str:
-        doc = {
+    def as_dict(self) -> dict:
+        return {
             "samples": self.samples,
             "o1_violations": self.o1_violations,
             "o2_violations": self.o2_violations,
@@ -85,7 +84,6 @@ class AuditReport:
             "worst_lipschitz_ratio": self.worst_lipschitz_ratio,
             "counterexamples": [c.as_dict() for c in self.counterexamples],
         }
-        return json.dumps(doc, **dump_kwargs)
 
 
 def default_sampler(rng: np.random.Generator, max_len: int = 64) -> Meaning:

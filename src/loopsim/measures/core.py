@@ -1,9 +1,8 @@
 """Information-gain measures over symbol sequences.
 
-Every measure maps a Meaning to a nonnegative real, deterministically. The
-symmetrised-KL measure is the one exception: it scores ordered pairs of finite
-discrete distributions and is exposed as a standalone function plus a
-MeasureSpec kind that only supports pair evaluation.
+Every measure maps a Meaning to a nonnegative real, deterministically.
+`symmetrised_kl` is the one exception: it scores pairs of finite discrete
+distributions, is a standalone function, and has no MeasureSpec kind.
 """
 
 from __future__ import annotations
@@ -34,10 +33,6 @@ class MeasureKind(str, Enum):
     LINEAR_COMBO = "LINEAR_COMBO"
 
 
-def length_gain(m: Meaning) -> float:
-    return float(len(m))
-
-
 def compression_gain(m: Meaning) -> float:
     """Length in bits (one a symbol) minus LZ78 coded bits, clamped at zero."""
     return float(max(0, len(m) - lz78_coded_bits(m)))
@@ -52,13 +47,6 @@ def unit_floor_gain(m: Meaning) -> float:
     if m.is_empty:
         return 0.0
     return max(1.0, compression_gain(m))
-
-
-def power_gain(m: Meaning, exponent: float) -> float:
-    """len(m) ** exponent for exponent > 1."""
-    if exponent <= 1.0:
-        raise ValueError("power-law exponent must exceed 1")
-    return float(len(m)) ** exponent
 
 
 def fisher_gain(m: Meaning, theta0: float) -> float:
@@ -157,7 +145,9 @@ class MeasureSpec:
     """A pluggable gain measure with its declared Lipschitz constant.
 
     ``lipschitz_bound`` is None when unknown; the audit then reports worst
-    observed ratios instead of counting violations.
+    observed ratios instead of counting violations. A POWER_LAW exponent
+    must exceed 1 and a FISHER ``theta0`` lie in (0, 1): both are checked
+    here, once, so a missing or NaN one is refused at construction.
     """
 
     kind: MeasureKind
@@ -168,13 +158,16 @@ class MeasureSpec:
     combo: tuple[float, "MeasureSpec", float, "MeasureSpec"] | None = None
     lipschitz_bound: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind is MeasureKind.POWER_LAW and not (self.exponent or 0.0) > 1.0:
+            raise ValueError("power-law exponent must exceed 1")
+        if self.kind is MeasureKind.FISHER and not 0.0 < (self.theta0 or 0.0) < 1.0:
+            raise ValueError("theta0 must lie in (0, 1)")
+
     def evaluate(self, m: Meaning) -> float:
-        if self.kind is MeasureKind.LENGTH:
-            return length_gain(m)
+        """Gain of one meaning: a length kind scores `evaluate_length(len(m))`."""
         if self.kind is MeasureKind.COMPRESSION_GAIN:
             return compression_gain(m)
-        if self.kind is MeasureKind.POWER_LAW:
-            return power_gain(m, self.exponent)
         if self.kind is MeasureKind.FISHER:
             return fisher_gain(m, self.theta0)
         if self.kind is MeasureKind.DECLARED_BONUS:
@@ -182,7 +175,7 @@ class MeasureSpec:
         if self.kind is MeasureKind.LINEAR_COMBO:
             a, s1, b, s2 = self.combo
             return a * s1.evaluate(m) + b * s2.evaluate(m)
-        raise ValueError(f"{self.kind.value} does not evaluate single meanings")
+        return self.evaluate_length(len(m))
 
     def evaluate_concat(self, m1: Meaning, m2: Meaning) -> float:
         """Gain of the concatenation m1 || m2 (tag-aware for declared bonus)."""
@@ -199,8 +192,6 @@ class MeasureSpec:
         if self.kind is MeasureKind.LENGTH:
             return float(n)
         if self.kind is MeasureKind.POWER_LAW:
-            if self.exponent <= 1.0:
-                raise ValueError("power-law exponent must exceed 1")
             try:
                 return float(n) ** self.exponent
             except OverflowError:  # past the largest float: the run flags OVERFLOW
@@ -229,14 +220,10 @@ def compression_gain_measure() -> MeasureSpec:
 
 
 def power_measure(exponent: float = 2.0) -> MeasureSpec:
-    if exponent <= 1.0:
-        raise ValueError("power-law exponent must exceed 1")
     return MeasureSpec(MeasureKind.POWER_LAW, exponent=exponent)
 
 
 def fisher_measure(theta0: float = 0.5) -> MeasureSpec:
-    if not 0.0 < theta0 < 1.0:
-        raise ValueError("theta0 must lie in (0, 1)")
     return MeasureSpec(MeasureKind.FISHER, theta0=theta0)
 
 

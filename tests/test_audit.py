@@ -68,7 +68,7 @@ class TestReportShape:
 
     def test_json_document_fields(self):
         report = audit_measure(length_measure(), samples=100, seed=6)
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.as_dict()))
         for key in ("samples", "o1_violations", "o2_violations", "o3_violations",
                     "mii_monotone_violations", "mii_extension_violations",
                     "worst_lipschitz_ratio", "counterexamples"):
@@ -77,7 +77,7 @@ class TestReportShape:
     def test_counterexamples_carry_symbols_verbatim(self):
         report = audit_measure(
             fisher_measure(0.5), samples=10, seed=7, probes=[FISHER_PROBE])
-        doc = json.loads(report.to_json())
+        doc = report.as_dict()
         inputs = [tuple(c["inputs"]) for c in doc["counterexamples"]]
         assert ("1", "0") in inputs
 

@@ -300,6 +300,15 @@ class TestCheckTables:
         verdict, = summary["runs"][0]["checks"]
         assert verdict["status"] == "FAIL" and verdict["detail"]["error"]
 
+    @pytest.mark.parametrize("gain_scale,gap_bound", [("0.5", 18), ("2.0", 5)])
+    def test_bursts_gap_bound_reads_gain_scale(self, tmp_path, gain_scale, gap_bound):
+        base = [s for s in builtin_scenarios() if s.name == "bursts"][0]
+        scenario = dataclasses.replace(
+            base, fields=tuple(sorted({**dict(base.fields), "gain_scale": gain_scale}.items())),
+            outputs=("json",))
+        verdict, = run_scenario(scenario, tmp_path)["runs"][0]["checks"]
+        assert verdict["status"] == "PASS" and verdict["detail"]["gap_bound"] == gap_bound
+
     def _relay(self, tmp_path, **fields):
         base = [s for s in builtin_scenarios() if s.name == "swarm_relay"][0]
         scenario = dataclasses.replace(
@@ -588,6 +597,21 @@ class TestCliVerbs:
             main, ["run", str(config), "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "error: scenario 'tiny': " in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lines,reason", [
+        ("measure_kind = POWER_LAW\nbeta_pow = nan\n", "power-law exponent must exceed 1"),
+        ("mode = ABSTRACT\ninitial_symbols = 0101\n", "initial_symbols"),
+        ("mode = CONCRETE\npsi_kind = IDENTITY\ninitial_norm = 7\n", "initial_symbols"),
+    ], ids=["beta_pow_nan", "abstract_symbols", "concrete_norm_without_symbols"])
+    def test_an_invalid_measure_or_start_exits_two_naming_it(self, tmp_path, lines, reason):
+        config = tmp_path / "bad.ini"
+        config.write_text("[meta]\nschema = 1\n\n[scenario:tiny]\nkind = run\n"
+                          "update_kind = OVERWRITE\nhorizon = 3\n" + lines)
+        result = CliRunner().invoke(
+            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "error: scenario 'tiny': " in result.output and reason in result.output
         assert not (tmp_path / "out").exists()
 
     def test_summary_is_written_without_json_output(self, tmp_path):

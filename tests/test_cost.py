@@ -1,4 +1,4 @@
-"""Cost model: closed forms, monotonicity, slope classification."""
+"""Cost model: closed forms, monotonicity, growth slopes."""
 
 import numpy as np
 import pytest
@@ -62,19 +62,19 @@ class TestCumulativeCompute:
     def test_constant_norm_run_is_flat(self):
         norms = np.full(2_000, 50.0)
         report = cumulative_compute(norms, FULL, fit_window=(100, 1_900))
-        assert report.classification == "FLAT"
+        assert abs(report.slope) < 0.5
         assert report.cumulative[-1] == pytest.approx(2_000 * flops_at(50.0, FULL))
 
     def test_linear_divergence_is_quadratic_under_full(self):
         traj = linear_norm_run()
         report = cumulative_compute(traj, FULL, fit_window=(100, 10_000))
-        assert report.classification == "QUADRATIC"
+        assert report.slope >= 1.5
         assert report.slope == pytest.approx(2.0, abs=0.1)
 
     def test_same_run_is_linear_under_low_rank(self):
         traj = linear_norm_run()
         report = cumulative_compute(traj, LOW_RANK, fit_window=(100, 10_000))
-        assert report.classification == "LINEAR"
+        assert 0.5 <= report.slope < 1.5
         assert report.slope == pytest.approx(1.0, abs=0.1)
 
     def test_budget_capped_run_goes_flat(self):
@@ -86,7 +86,7 @@ class TestCumulativeCompute:
                         mode=Mode.ABSTRACT, initial_norm=11.0,
                         budget=BudgetGate(max_norm=200.0))
         report = cumulative_compute(run(cfg), FULL, fit_window=(1_000, 5_000))
-        assert report.classification == "FLAT"
+        assert abs(report.slope) < 0.5
 
     def test_total_exceeds_any_budget_below_final_step_cost(self):
         traj = linear_norm_run(horizon=2_000)
@@ -118,5 +118,5 @@ class TestLogRank:
         traj = linear_norm_run()
         model = CostModel(variant=CostVariant.LOG_RANK, log_coeff=0.05)
         report = cumulative_compute(traj, model, fit_window=(100, 10_000))
-        assert report.classification == "LINEAR"
+        assert 0.5 <= report.slope < 1.5
         assert report.slope == pytest.approx(1.0, abs=0.15)

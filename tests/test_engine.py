@@ -252,10 +252,12 @@ def long_concrete_configs(draw, kind):
                         drop_to=draw(st.integers(0, 24)) / 2)
     else:
         rule = UpdateRuleSpec(kind)
+    n0 = int(cfg.initial_norm)
     return dataclasses.replace(
         cfg, mode=Mode.CONCRETE, update=rule, budget=None,
         channel=dataclasses.replace(cfg.channel, psi_kind=PsiKind.TAGGED_INJECTIVE),
-        horizon=draw(st.integers(2_000, 5_000)))
+        horizon=draw(st.integers(2_000, 5_000)),
+        initial_symbols=draw(st.text("01", min_size=n0, max_size=n0)))
 
 
 def assert_run_matches_step_loop(cfg):
@@ -339,6 +341,15 @@ class TestRun:
         # step() refuses a negative context, so run() must not start from one.
         with pytest.raises(ValueError, match="initial_norm"):
             abstract_gated(-5.0, 10.0, 10.0, 0, 5, 1.0, horizon=10)
+
+    @pytest.mark.parametrize("mode,norm,symbols", [
+        (Mode.ABSTRACT, 4.0, "0101"), (Mode.CONCRETE, 7.0, ""),
+        (Mode.CONCRETE, 3.0, "01")], ids=["abstract_symbols", "concrete_none", "concrete_short"])
+    def test_initial_symbols_must_match_the_mode_and_norm(self, mode, norm, symbols):
+        channel = ChannelSpec(psi_kind=PsiKind.IDENTITY, noise_len=4)
+        with pytest.raises(ValueError, match="initial_symbols"):
+            RunConfig(channel=channel, update=windowed(5), mode=mode, horizon=3,
+                      initial_norm=norm, initial_symbols=symbols)
 
     def test_deterministic_run_is_bit_identical(self):
         cfg = RunConfig(

@@ -95,7 +95,9 @@ class TestVerifyBounded:
 
     def test_precondition_violated(self):
         traj = gated_run(11.0, 10.0, 0, 10, 1.0, horizon=10)
-        with pytest.raises(PreconditionError):
+        # The same text on every numpy: not np.float64(11.0) on numpy 2.
+        with pytest.raises(PreconditionError,
+                           match=r"^initial norm 11\.0 exceeds the threshold 10\.0$"):
             verify_bounded(traj, gamma=10.0)
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from loopsim.meanings import Meaning, concat
 from loopsim.measures import (
+    MeasureKind,
+    MeasureSpec,
     SupportMismatchError,
     UnknownTagError,
     combine_measures,
@@ -15,9 +17,7 @@ from loopsim.measures import (
     declared_measure,
     fisher_gain,
     fisher_measure,
-    length_gain,
     length_measure,
-    power_gain,
     power_measure,
     symmetrised_kl,
     unit_floor_gain,
@@ -56,22 +56,33 @@ class TestCompressionGain:
 
 class TestLengthAndPower:
     def test_length(self):
-        assert length_gain(Meaning("")) == 0.0
-        assert length_gain(Meaning("101")) == 3.0
+        assert length_measure().evaluate(Meaning("")) == 0.0
+        assert length_measure().evaluate(Meaning("101")) == 3.0
 
     def test_length_additive_under_concat(self):
-        assert length_gain(concat(Meaning("101"), Meaning("01"))) == 5.0
+        assert length_measure().evaluate(concat(Meaning("101"), Meaning("01"))) == 5.0
 
     def test_power(self):
-        assert power_gain(Meaning(""), 2.0) == 0.0
-        assert power_gain(Meaning("01"), 2.0) == 4.0
-        assert power_gain(Meaning("010"), 1.5) == pytest.approx(3.0**1.5)
+        assert power_measure(2.0).evaluate(Meaning("")) == 0.0
+        assert power_measure(2.0).evaluate(Meaning("01")) == 4.0
+        assert power_measure(1.5).evaluate(Meaning("010")) == pytest.approx(3.0**1.5)
 
     def test_power_rejects_small_exponent(self):
         with pytest.raises(ValueError):
-            power_gain(Meaning("01"), 1.0)
+            MeasureSpec(MeasureKind.POWER_LAW, exponent=1.0)
         with pytest.raises(ValueError):
             power_measure(0.5)
+
+    @pytest.mark.parametrize("exponent", [None, math.nan, 0.5],
+                             ids=["missing", "nan", "half"])
+    def test_power_exponent_checked_at_construction(self, exponent):
+        with pytest.raises(ValueError, match="power-law exponent must exceed 1"):
+            MeasureSpec(MeasureKind.POWER_LAW, exponent=exponent)
+
+    @pytest.mark.parametrize("theta0", [None, math.nan], ids=["missing", "nan"])
+    def test_fisher_theta0_checked_at_construction(self, theta0):
+        with pytest.raises(ValueError, match=r"theta0 must lie in \(0, 1\)"):
+            MeasureSpec(MeasureKind.FISHER, theta0=theta0)
 
 
 class TestFisher:

@@ -1,0 +1,39 @@
+"""SHA-256 pins of the audit and gamma-star documents.
+
+The measure audits and the gamma-star estimate are exact functions of their
+seed, so their JSON text must not move when the code under them is
+refactored. `conjecture` is left out: its `np.polyfit` floats depend on the
+BLAS build.
+"""
+
+import hashlib
+
+import pytest
+
+from loopsim.cli import builtin_scenarios
+from loopsim.cli.runner import json_text, run_audit, run_gamma_star
+
+AUDIT_DIGESTS = {
+    "length": "b4d4a1fb8f9e064656320992e7221aeb04b4b226fe38f5c68bd7c2f313686e06",
+    "compression_gain": "e595b63181f959a2414ee9428de9913c51ac8b84814c40c66ece421999dd63ee",
+    "power_law": "9b459ecd1291dc1a0349d0143e044c16ea1dd661af1452e966f1d28de3e06671",
+    "fisher": "57eeb112933f33041d15b21f77d4dd67c9334377a34b185652a8cfbc09f75ba3",
+    "declared_bonus": "5ce886392c97c13327de72b00d1c177b5e2b09cfbd2e04873b8e9f478138dce4",
+    "skl": "ba4590ad7e7e61dbf48b6e50054559319e4ec6442ac3fd95e8cb6404fa26eb15",
+    "lz_reuse": "139887d3a3b9b090db28e796680ff4c4617ccfa14067466d80af961306865ebb",
+}
+GAMMA_STAR_DIGEST = "fb792e814cd6763307e4d85e5c7e13f52da9f46911c3d61c31f431fd49fb9019"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("measure", list(AUDIT_DIGESTS))
+def test_audit_document_is_pinned(measure):
+    assert sha256(json_text(run_audit(measure, samples=777, seed=0))) == AUDIT_DIGESTS[measure]
+
+
+def test_gamma_star_document_is_pinned():
+    tightness = next(s for s in builtin_scenarios() if s.name == "tightness")
+    assert sha256(json_text(run_gamma_star(tightness))) == GAMMA_STAR_DIGEST
