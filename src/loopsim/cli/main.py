@@ -28,6 +28,7 @@ from .config import (
 from .runner import (
     AUDITS,
     FAIL,
+    _atomic_write,
     aggregate_reports,
     conjecture_experiment,
     format_report,
@@ -88,13 +89,13 @@ def run_command(config, scenario_name, outdir, jobs) -> None:
 
 
 def _emit(doc: dict, outdir, filename: str) -> None:
-    """Echoes a JSON document and, given `outdir`, also writes it there."""
+    """Echoes a JSON document and, given `outdir`, writes it there atomically."""
     text = json_text(doc)
     click.echo(text)
     if outdir is not None:
         directory = Path(outdir)
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / filename).write_text(text, encoding="utf-8")
+        _atomic_write(directory / filename, text)
 
 
 def _experiments(config, scenario_name, key, experiment, outdir, suffix) -> None:

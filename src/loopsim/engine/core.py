@@ -6,7 +6,7 @@ the configured update rule. ABSTRACT mode keeps only the real-valued norm
 ledger (exact checks, no symbol materialisation), CONCRETE mode maintains the
 actual symbol sequence. `step` is the one reference transition; `run` takes
 most ABSTRACT runs in vectorised segments and the rest one step at a time,
-and both give the bits a `step` loop gives.
+then derives every other column once: it gives the bits a `step` loop gives.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..channel import (
     tile,
 )
 from ..columns import write_csv
-from ..cost import CostModel, CostVariant, flops_array, flops_at
+from ..cost import CostModel, flops_array, flops_at
 from ..meanings import Meaning
 from ..measures import MeasureKind, MeasureSpec, length_measure
 
@@ -121,8 +121,8 @@ class BudgetGate:
     Frozen steps still cost serving flops; they are flagged, not terminated.
     """
 
-    max_flops: float | None = None
-    max_norm: float | None = None
+    max_flops: float = math.inf
+    max_norm: float = math.inf
 
 
 @dataclass(frozen=True)
@@ -216,28 +216,32 @@ _EVENT_TEXT = np.array([";".join(event_names(bits)) for bits in range(64)], dtyp
 class Trajectory:
     """Columnar per-step records.
 
-    Index t holds the state norm before step t, the gain and increment the
-    step realised, and its event flags; ``final_norm`` is the state after the
-    last recorded step, so ``norms`` has length steps + 1.
+    ``norms`` has length steps + 1: the state norm before each step, then
+    the state after the last; ``norm`` is a view of all but the last. Index
+    t of every other column holds step t's gain, increment, mask rate, cost
+    and event flags.
     """
 
     config: RunConfig
-    norm: np.ndarray
+    norms: np.ndarray
     omega: np.ndarray
     delta: np.ndarray
     epsilon_t: np.ndarray
     flops: np.ndarray
     events: np.ndarray
-    final_norm: float
     final_symbols: str | None = None
 
     @property
     def steps(self) -> int:
-        return len(self.norm)
+        return len(self.omega)
 
     @property
-    def norms(self) -> np.ndarray:
-        return np.append(self.norm, self.final_norm)
+    def norm(self) -> np.ndarray:
+        return self.norms[:-1]
+
+    @property
+    def final_norm(self) -> float:
+        return float(self.norms[-1])
 
     @property
     def total_flops(self) -> float:
@@ -270,13 +274,7 @@ def _increment(rule: UpdateRuleSpec):
 
 def _budget_tripped(cfg: RunConfig, norm: float, cum_flops: float) -> bool:
     gate = cfg.budget
-    if gate is None:
-        return False
-    if gate.max_norm is not None and norm > gate.max_norm:
-        return True
-    if gate.max_flops is not None and cum_flops > gate.max_flops:
-        return True
-    return False
+    return gate is not None and (norm > gate.max_norm or cum_flops > gate.max_flops)
 
 
 def step(state: ContextState, t: int, cfg: RunConfig,
@@ -356,24 +354,37 @@ def run(cfg: RunConfig) -> Trajectory:
 
     ABSTRACT runs over IDENTITY, TAGGED_INJECTIVE, CONSTANT and GATED take
     the segment path; every other run, CONCRETE runs included, takes the
-    per-step path. Both give the bits a plain `step` loop gives.
+    per-step path. A path writes the norms, the gains and the BURST_HIT_W,
+    BUDGET_FROZEN, OVERFLOW and FIXED_POINT bits; `run` then derives, once
+    for both, the MASKED bits, CROSSED_GAMMA on the step to the first norm
+    above gamma, the increments and the flops: the bits a `step` loop gives.
     """
-    horizon = cfg.horizon
-    spec = cfg.channel
-    norm_a, omega_a, delta_a, flops_a = (np.empty(horizon) for _ in range(4))
-    events_a = np.zeros(horizon, dtype=np.uint16)
+    horizon, spec = cfg.horizon, cfg.channel
+    norms, omega = np.empty(horizon + 1), np.empty(horizon)
+    norms[0] = cfg.initial_norm
+    events = np.zeros(horizon, dtype=np.uint16)
     if spec.mask_rate.is_zero:
-        eps_a, masked_a = np.zeros(horizon), None
+        eps, masked = np.zeros(horizon), None
     else:
-        eps_a = epsilon_array(spec.mask_rate, horizon)
-        masked_a = mask_stream(spec, horizon) < eps_a
-    columns = [norm_a, omega_a, delta_a, eps_a, flops_a, events_a]
+        eps = epsilon_array(spec.mask_rate, horizon)
+        masked = mask_stream(spec, horizon) < eps
 
     segments = cfg.mode is Mode.ABSTRACT and spec.psi_kind in _SEGMENT_PSI
-    steps, norm, symbols = (_run_segments if segments else _run_steps)(cfg, masked_a, columns)
+    steps, symbols = (_run_segments if segments else _run_steps)(
+        cfg, masked, (norms, omega, events))
     if steps < horizon:
-        columns = [a[:steps].copy() for a in columns]
-    return Trajectory(cfg, *columns, final_norm=norm, final_symbols=symbols)
+        norms = norms[:steps + 1].copy()
+        omega, eps, events = (a[:steps].copy() for a in (omega, eps, events))
+    if masked is not None:
+        events |= masked[:steps]  # EVENT_MASKED is bit 1
+    with np.errstate(invalid="ignore"):  # inf - inf, for a run that starts at inf
+        delta = norms[1:] - norms[:-1]
+    traj = Trajectory(cfg, norms, omega, delta, eps, flops_array(norms[:-1], cfg.cost_model),
+                      events, symbols)
+    crossing = traj.first_crossing(cfg.gamma)
+    if crossing:  # 0 when the run starts above gamma: no step crossed it
+        events[crossing - 1] |= EVENT_CROSSED_GAMMA
+    return traj
 
 
 def _run_steps(cfg, masked_a, columns, start=None):
@@ -384,13 +395,11 @@ def _run_steps(cfg, masked_a, columns, start=None):
     length-arithmetic measure never sees a `Meaning`, and a context that
     grows by appends is kept as chunks joined once; a WINDOWED cut restarts
     the chunks, the digest and the tag from the symbols it keeps. Rows go
-    into the columns through memoryviews. ``start`` = (t, norm, cum_flops,
-    crossed) resumes an ABSTRACT run the segment path began. Returns
-    (steps, final norm, final symbols).
+    into (norms, omega, events) through memoryviews, the norm after step t
+    at index t + 1. ``start`` = (t, norm, cum_flops) resumes an ABSTRACT run
+    the segment path began. Returns (steps, final symbols).
     """
     spec, rule, gate, measure = cfg.channel, cfg.update, cfg.budget, cfg.measure
-    model = cfg.cost_model
-    full_cost, a_attn, a_ffn = model.variant is CostVariant.FULL, model.alpha_attn, model.alpha_ffn
     concrete = cfg.mode is Mode.CONCRETE
     overwrite, append = rule.kind is UpdateKind.OVERWRITE, rule.kind is UpdateKind.APPEND
     windowed, growing = rule.kind is UpdateKind.WINDOWED, concrete and not overwrite
@@ -417,15 +426,14 @@ def _run_steps(cfg, masked_a, columns, start=None):
 
     symbols = cfg.initial_symbols if concrete else None
     chunks, length, hasher, tagger = restart(cfg.initial_symbols)
-    t0, norm, cum_flops, crossed = start or (
-        0, float(cfg.initial_norm), 0.0, cfg.initial_norm > cfg.gamma)
-    norm_m, omega_m, delta_m, _, flops_m, events_m = map(memoryview, columns)
+    t0, norm, cum_flops = start or (0, float(cfg.initial_norm), 0.0)
+    norms_m, omega_m, events_m = map(memoryview, columns)
     steps = cfg.horizon
     for t, masked in enumerate(repeat(False, cfg.horizon - t0) if masked_a is None
                                else masked_a[t0:].tolist(), t0):
-        prev, fresh, events = symbols, "", EVENT_MASKED if masked else 0
+        prev, fresh, events = symbols, "", 0
         if gate is not None and _budget_tripped(cfg, norm, cum_flops):
-            new_norm, omega, events = norm, 0.0, events | EVENT_BUDGET_FROZEN
+            new_norm, omega, events = norm, 0.0, EVENT_BUDGET_FROZEN
         else:
             x = norm  # the norm the step adds to, after any WINDOWED cut
             if windowed and norm >= window:
@@ -461,11 +469,8 @@ def _run_steps(cfg, masked_a, columns, start=None):
                     fresh = m
                 elif int(new_norm) > length:
                     fresh = tile(m, int(new_norm) - length)
-        flops = (a_attn * norm * norm + a_ffn * norm) if full_cost else flops_at(norm, model)
-        cum_flops += flops
-        if not crossed and new_norm > cfg.gamma:
-            events |= EVENT_CROSSED_GAMMA
-            crossed = True
+        if gate is not None:
+            cum_flops += flops_at(norm, cfg.cost_model)
         stop = not (new_norm <= MAX_SYMBOLS if concrete else math.isfinite(new_norm))
         if stop:
             events |= EVENT_OVERFLOW
@@ -480,13 +485,12 @@ def _run_steps(cfg, masked_a, columns, start=None):
             data = fresh.encode()
             for h in filter(None, (hasher, tagger)):
                 h.update(data)
-        norm_m[t], omega_m[t], delta_m[t], flops_m[t], events_m[t] = (
-            norm, omega, new_norm - norm, flops, events)
+        norms_m[t + 1], omega_m[t], events_m[t] = new_norm, omega, events
         norm = new_norm
         if stop:
             steps = t + 1
             break
-    return steps, norm, "".join(chunks) if growing else symbols
+    return steps, "".join(chunks) if growing else symbols
 
 
 @np.errstate(over="ignore")  # an overflow is flagged, as in the float loop
@@ -497,21 +501,17 @@ def _run_segments(cfg, masked_a, columns):
     side of GATED's ``gamma_true``, so every meaning is empty (masked) or
     has one length L, and gain and increment take one of two values each.
     The norms are then a cumsum, which numpy accumulates left to right as
-    the step loop adds. A segment ends after the last step of its regime;
-    a non-finite norm ends the run (OVERFLOW), and an open budget gate
-    freezes the rest of it. Returns (steps, final norm, None), as
-    `_run_steps` does for an ABSTRACT run.
+    the step loop adds; so is the compute spent, summed only for a budget
+    gate. A segment ends after the last step of its regime; a non-finite
+    norm ends the run (OVERFLOW), and an open budget gate freezes the rest
+    of it. Writes and returns what `_run_steps` does for an ABSTRACT run.
     """
-    norm_a, omega_a, delta_a, _, flops_a, events_a = columns
+    norms, omega_a, events_a = columns
     horizon, spec, rule, gate = cfg.horizon, cfg.channel, cfg.update, cfg.budget
-    model, gamma = cfg.cost_model, cfg.gamma
     windowed = rule.kind is UpdateKind.WINDOWED
     gated = spec.psi_kind is PsiKind.GATED
-    max_norm = math.inf if gate is None or gate.max_norm is None else gate.max_norm
-    max_flops = math.inf if gate is None or gate.max_flops is None else gate.max_flops
     omega_0 = cfg.measure.evaluate_length(0)
-    norm = float(cfg.initial_norm)
-    cum_flops, crossed = 0.0, norm > gamma
+    norm, cum_flops = float(cfg.initial_norm), 0.0
     t, chunk, segments = 0, _CHUNK_MIN, 0
 
     while t < horizon:
@@ -519,75 +519,61 @@ def _run_segments(cfg, masked_a, columns):
             # The regime switches every few steps (an OVERWRITE gate flipping
             # on every mask, a gate inside each WINDOWED burst): one step
             # costs less than the numpy calls of a segment.
-            return _run_steps(cfg, masked_a, columns, (t, norm, cum_flops, crossed))
+            return _run_steps(cfg, masked_a, columns, (t, norm, cum_flops))
         segments += 1
         if _budget_tripped(cfg, norm, cum_flops):
-            # The gate never reopens: the norm and the cost stay put.
-            rest = slice(t, horizon)
-            norm_a[rest], omega_a[rest], delta_a[rest] = norm, 0.0, 0.0
-            flops_a[rest] = flops_array([norm], model)[0]
-            events_a[rest] = EVENT_BUDGET_FROZEN
-            if masked_a is not None:
-                events_a[rest] |= masked_a[rest]  # EVENT_MASKED is bit 1
-            return horizon, norm, None
+            # The gate never reopens: the norm stays put.
+            norms[t + 1:], omega_a[t:], events_a[t:] = norm, 0.0, EVENT_BUDGET_FROZEN
+            return horizon, None
         x0 = float(rule.drop_to) if windowed and norm >= rule.window else norm
         mlen = psi_output_length(spec, x0, t)
         omega_l = cfg.measure.evaluate_length(mlen)
         c = min(chunk, horizon - t)
         m = masked_a[t:t + c] if masked_a is not None else np.zeros(c, dtype=bool)
-        hit_w = None
         # x: the norm each step adds to (after WINDOWED's drop); entry: the
         # norm before the step; new: the norm after it.
         if rule.kind is UpdateKind.OVERWRITE:
             new = np.where(m, 0.0, float(mlen))
-            entry = x = np.concatenate(([norm], new[:-1]))
         else:
             grow = _increment(rule)
             inc = np.where(m, grow(0, omega_0), grow(mlen, omega_l))
             if windowed:
-                entry, x, new, hit_w = _bursts(norm, x0, inc, rule)
+                x, new, hit_w = _bursts(x0, inc, rule)
             else:
-                path = np.cumsum(np.concatenate(([norm], inc)))
-                entry = x = path[:-1]
-                new = path[1:]
-        flops = flops_array(entry, model)
-        cum = np.cumsum(np.concatenate(([cum_flops], flops)))
+                new = np.cumsum(np.concatenate(([norm], inc)))[1:]
+        entry = np.concatenate(([norm], new[:-1]))
+        if not windowed:
+            x = entry
 
         # Cut before the first step in another regime, after the first
         # non-finite norm.
-        change = (entry > max_norm) | (cum[:-1] > max_flops)
-        if gated:
-            change |= (x <= spec.gamma_true) != (x0 <= spec.gamma_true)
+        change = ((x <= spec.gamma_true) != (x0 <= spec.gamma_true) if gated
+                  else np.zeros(len(new), dtype=bool))
+        if gate is not None:
+            cum = np.cumsum(np.concatenate(([cum_flops], flops_array(entry, cfg.cost_model))))
+            change |= (entry > gate.max_norm) | (cum[:-1] > gate.max_flops)
         n = int(change.argmax()) if change.any() else len(new)
         overflow = ~np.isfinite(new[:n])
         stop = bool(overflow.any())
         if stop:
             n = int(overflow.argmax()) + 1
 
-        events = m[:n].astype(np.uint16)
-        if hit_w is not None:
-            events[hit_w[:n]] |= EVENT_BURST_HIT_W
-        if not crossed:
-            above = new[:n] > gamma
-            if above.any():
-                events[above.argmax()] |= EVENT_CROSSED_GAMMA
-                crossed = True
+        norms[t + 1:t + n + 1] = new[:n]
+        omega_a[t:t + n] = np.where(m[:n], omega_0, omega_l)
+        if windowed:
+            events_a[t:t + n][hit_w[:n]] = EVENT_BURST_HIT_W
         if stop:
-            events[n - 1] |= EVENT_OVERFLOW
-        span = slice(t, t + n)
-        norm_a[span] = entry[:n]
-        omega_a[span] = np.where(m[:n], omega_0, omega_l)
-        delta_a[span] = new[:n] - entry[:n]
-        flops_a[span] = flops[:n]
-        events_a[span] = events
-        norm, cum_flops, t = float(new[n - 1]), float(cum[n]), t + n
+            events_a[t + n - 1] |= EVENT_OVERFLOW
+        if gate is not None:
+            cum_flops = float(cum[n])
+        norm, t = float(new[n - 1]), t + n
         if stop:
-            return t, norm, None
+            return t, None
         chunk = min(max(2 * n, _CHUNK_MIN), _CHUNK_MAX)
-    return horizon, norm, None
+    return horizon, None
 
 
-def _bursts(norm, x0, inc, rule):
+def _bursts(x0, inc, rule):
     """WINDOWED steps over a chunk of increments, one burst after another.
 
     Row s of the burst table is a burst that starts at step s: ``drop_to``
@@ -597,8 +583,8 @@ def _bursts(norm, x0, inc, rule):
     starts a step later. Rows are about twice the mean burst long, and a
     burst that outlasts its row ends the chunk there. When a burst is
     expected to outlast the chunk, the table is the one row from ``x0`` and
-    the chunk ends at its first cap hit. Returns (entry, x, new, hit_w) for
-    the steps covered, as in `_run_segments`.
+    the chunk ends at its first cap hit. Returns (x, new, hit_w) for the
+    steps covered, as in `_run_segments`.
     """
     window, drop_to = float(rule.window), float(rule.drop_to)
     c = len(inc)
@@ -626,7 +612,7 @@ def _bursts(norm, x0, inc, rule):
     raw = rows[burst, offset + 1]
     hit_w = raw >= window
     new = np.where(hit_w, window, raw)
-    return np.concatenate(([norm], new[:-1])), x, new, hit_w
+    return x, new, hit_w
 
 
 def detect_fixed_point(traj: Trajectory) -> int | None:

@@ -146,7 +146,8 @@ class MeasureSpec:
 
     ``lipschitz_bound`` is None when unknown; the audit then reports worst
     observed ratios instead of counting violations. A POWER_LAW exponent
-    must exceed 1 and a FISHER ``theta0`` lie in (0, 1): both are checked
+    must exceed 1, a FISHER ``theta0`` lie in (0, 1), and a LINEAR_COMBO
+    needs its ``combo`` and a DECLARED_BONUS its ``bases``: all are checked
     here, once, so a missing or NaN one is refused at construction.
     """
 
@@ -163,6 +164,10 @@ class MeasureSpec:
             raise ValueError("power-law exponent must exceed 1")
         if self.kind is MeasureKind.FISHER and not 0.0 < (self.theta0 or 0.0) < 1.0:
             raise ValueError("theta0 must lie in (0, 1)")
+        if self.kind is MeasureKind.LINEAR_COMBO and self.combo is None:
+            raise ValueError("a LINEAR_COMBO measure needs combo")
+        if self.kind is MeasureKind.DECLARED_BONUS and self.bases is None:
+            raise ValueError("a DECLARED_BONUS measure needs bases")
 
     def evaluate(self, m: Meaning) -> float:
         """Gain of one meaning: a length kind scores `evaluate_length(len(m))`."""

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pathlib
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -452,6 +453,22 @@ class TestCliVerbs:
         assert result.exit_code == 0
         doc = json.loads((tmp_path / "length.audit.json").read_text())
         assert doc["verdicts"][0]["status"] == "PASS"
+
+    def test_a_failed_audit_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        args = ["audit", "length", "--samples", "50", "--out", str(tmp_path)]
+        assert CliRunner().invoke(main, args).exit_code == 0
+        path = tmp_path / "length.audit.json"
+        before = path.read_text()
+
+        def half_then_full_disk(self, text, encoding=None):
+            with open(self, "w", encoding=encoding) as out:
+                out.write(text[:len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pathlib.Path, "write_text", half_then_full_disk)
+        result = CliRunner().invoke(main, args + ["--seed", "1"])
+        assert isinstance(result.exception, OSError)
+        assert path.read_text() == before
 
     def test_gamma_star_verb(self):
         result = CliRunner().invoke(

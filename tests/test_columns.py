@@ -145,9 +145,9 @@ def test_run_csv_empty_trajectory():
     cfg = RunConfig(channel=ChannelSpec(mask_rate=constant_mask(0.0)),
                     update=windowed(4), horizon=1)
     empty = np.array([], dtype=float)
-    traj = Trajectory(config=cfg, norm=empty, omega=empty, delta=empty,
+    traj = Trajectory(config=cfg, norms=np.zeros(1), omega=empty, delta=empty,
                       epsilon_t=empty, flops=empty,
-                      events=np.array([], dtype=np.uint16), final_norm=0.0)
+                      events=np.array([], dtype=np.uint16))
     assert written(traj.write_csv) == reference_run_csv(traj)
 
 

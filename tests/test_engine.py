@@ -362,6 +362,12 @@ class TestRun:
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert a.final_norm == b.final_norm
 
+    def test_norms_are_stored_once(self):
+        traj = run(abstract_gated(11.0, 10.0, 10.0, 0, 12, 1.0, horizon=50))
+        assert len(traj.norms) == traj.steps + 1 == 51
+        assert np.shares_memory(traj.norm, traj.norms)
+        assert traj.final_norm == traj.norms[-1]
+
     def test_gated_divergence_is_monotone_after_crossing(self):
         cfg = abstract_gated(11.0, 10.0, 10.0, 0, 12, 1.0, horizon=500)
         traj = run(cfg)

@@ -84,6 +84,13 @@ class TestLengthAndPower:
         with pytest.raises(ValueError, match=r"theta0 must lie in \(0, 1\)"):
             MeasureSpec(MeasureKind.FISHER, theta0=theta0)
 
+    @pytest.mark.parametrize("kind, field", [(MeasureKind.LINEAR_COMBO, "combo"),
+                                             (MeasureKind.DECLARED_BONUS, "bases")],
+                             ids=["combo", "bases"])
+    def test_missing_combo_or_bases_refused_at_construction(self, kind, field):
+        with pytest.raises(ValueError, match=f"a {kind.value} measure needs {field}"):
+            MeasureSpec(kind)
+
 
 class TestFisher:
     def test_empty(self):

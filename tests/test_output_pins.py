@@ -1,17 +1,20 @@
-"""SHA-256 pins of the audit and gamma-star documents.
+"""Pins of the audit and gamma-star documents and of the builtin run summaries.
 
 The measure audits and the gamma-star estimate are exact functions of their
 seed, so their JSON text must not move when the code under them is
 refactored. `conjecture` is left out: its `np.polyfit` floats depend on the
-BLAS build.
+BLAS build. The run-level fields of every builtin run summary entry (steps,
+final norm, crossing step and total flops, none of which a CSV holds) are
+pinned value by value.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from loopsim.cli import builtin_scenarios
-from loopsim.cli.runner import json_text, run_audit, run_gamma_star
+from loopsim.cli.runner import json_text, run_audit, run_gamma_star, run_scenario
 
 AUDIT_DIGESTS = {
     "length": "b4d4a1fb8f9e064656320992e7221aeb04b4b226fe38f5c68bd7c2f313686e06",
@@ -37,3 +40,30 @@ def test_audit_document_is_pinned(measure):
 def test_gamma_star_document_is_pinned():
     tightness = next(s for s in builtin_scenarios() if s.name == "tightness")
     assert sha256(json_text(run_gamma_star(tightness))) == GAMMA_STAR_DIGEST
+
+
+# (steps, final_norm, crossing_step, total_flops) of each run entry, in order.
+RUN_SUMMARY_PINS = {
+    "bounded": [(20000, 5.0, None, 600000.0)] * 3,
+    "bursts": [(20000, 31.0, 0, 88516186.0)],
+    "collapse": [(20000, 2.0, None, 120000.0)] * 3,
+    "conjecture_flat": [(400, 3586.0, 12, 1707875910.0)],
+    "conjecture_log": [(400, 2.8747446397016238e+35, 13, 1.4731964329696595e+71)],
+    "cost_slope": [(10000, 100011.0, 0, 33339833670000.0)],
+    "drift": [(10000, 50011.0, 0, 8337834120000.0)],
+    "finite_time": [(40, 362.0, 5, 1522960.0)],
+    "masked_drift": [(10000, 59399.0, 0, 11715231946332.0)],
+    "onebit": [(32, 1.0, None, 64.0)],
+    "tightness": [(1, 0.0, None, 0.0)],
+    "tokens": [(100, 22.0, 1, 50094.0), (2, 22.0, 1, 506.0)],
+}
+
+
+def test_builtin_run_summaries_are_pinned(tmp_path):
+    scenarios = [s for s in builtin_scenarios() if s.kind == "run"]
+    assert sorted(s.name for s in scenarios) == sorted(RUN_SUMMARY_PINS)
+    for scenario in scenarios:
+        summary = run_scenario(dataclasses.replace(scenario, outputs=()), tmp_path)
+        got = [(e["steps"], e["final_norm"], e["crossing_step"], e["total_flops"])
+               for e in summary["runs"]]
+        assert got == RUN_SUMMARY_PINS[scenario.name], scenario.name
