@@ -11,6 +11,9 @@ output, step) always reproduce the same meaning, across processes:
 Temperature only matters through the deterministic/stochastic dichotomy:
 at temperature 0 the noise source is the all-zero string (zero entropy),
 at any positive temperature the symbols are i.i.d. uniform bits.
+
+The estimators and `Draws` (the measure audits' and gamma-star's draws) replay
+a numpy Generator exactly from blocks of raw PCG64 words.
 """
 
 from __future__ import annotations
@@ -251,8 +254,10 @@ def apply_psi(noise: str, tag: str, norm: float, t: int, spec: ChannelSpec,
     return tile(noise, psi_output_length(spec, norm, t))
 
 
-# The estimators draw their samples this many raw PCG64 words at a time.
+# The estimators draw their samples this many raw PCG64 words at a time, and
+# `Draws` (which converts each word to a Python int) this many.
 _BLOCK_WORDS = 1 << 15
+_DRAWS_BLOCK_WORDS = 1 << 12
 
 
 def _raw_words(seed: int, label: str, rows: int, width: int):
@@ -269,6 +274,65 @@ def _raw_bits(words: np.ndarray) -> np.ndarray:
     bit 31 of each 32-bit half-word, the low half first."""
     bits = np.stack(((words >> 31) & 1, words >> 63), axis=2)
     return bits.reshape(len(words), -1).astype(np.uint8)
+
+
+class Draws:
+    """The draws of ``np.random.default_rng(seed)`` in plain ints, replayed
+    from blocks of its raw PCG64 words: ``bits(n)`` is ``integers(0, 2,
+    size=n)`` as a '0'/'1' string, ``below(k)`` is ``integers(0, k)`` for
+    1 <= k <= 2**32 and ``random()`` is ``random()``. A 32-bit draw takes the
+    low half of a fresh word and keeps the high half for the next one; a
+    64-bit draw leaves the kept half alone (numpy's ``has_uint32``)."""
+
+    def __init__(self, seed: int):
+        self._bitgen = np.random.PCG64(seed)
+        self._words: list[int] = []
+        self._bits = ""  # the `_raw_bits` of _words
+        self._next = 0  # the index of the next fresh word
+        self._kept: int | None = None
+
+    def _fresh(self, count: int) -> int:
+        """The index in _words of the first of ``count`` fresh words, now taken."""
+        start = self._next
+        if start + count > len(self._words):
+            block = self._bitgen.random_raw(max(_DRAWS_BLOCK_WORDS, count))
+            self._words = self._words[start:] + block.tolist()
+            bits = (_raw_bits(block[None]) + ord("0")).tobytes().decode()
+            self._bits, start = self._bits[2 * start:] + bits, 0
+        self._next = start + count
+        return start
+
+    def random(self) -> float:
+        start = self._fresh(1)  # before reading _words, which it may replace
+        return (self._words[start] >> 11) * 2.0**-53
+
+    def _uint32(self) -> int:
+        kept, self._kept = self._kept, None
+        if kept is None:
+            start = self._fresh(1)
+            kept, self._kept = self._words[start] & 0xFFFFFFFF, self._words[start] >> 32
+        return kept
+
+    def below(self, k: int) -> int:
+        """Lemire's method (ACM TOMACS 2019); for k = 1 numpy draws nothing."""
+        if k == 1:
+            return 0
+        threshold = (1 << 32) % k
+        m = self._uint32() * k
+        while m & 0xFFFFFFFF < threshold:
+            m = self._uint32() * k
+        return m >> 32
+
+    def bits(self, n: int) -> str:
+        if n <= 0:
+            return ""
+        kept, self._kept = self._kept, None
+        head = "" if kept is None else "01"[kept >> 31]
+        n -= len(head)
+        start = self._fresh(-(-n // 2))
+        if n % 2:
+            self._kept = self._words[start + n // 2] >> 32
+        return head + self._bits[2 * start:2 * start + n]
 
 
 def estimate_collision_rate(spec: ChannelSpec, c, trials: int, seed: int = 0) -> float:

@@ -66,8 +66,12 @@ SUMMARY_SCHEMA = 1
 
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _finite(value):
@@ -361,11 +365,11 @@ def run_scenario(scenario: Scenario, outdir, jobs: int = 1) -> dict:
 _FISHER_PROBE = (Meaning("1"), Meaning("0"))
 
 
-def _tagged_sampler(rng):
+def _tagged_sampler(draws):
     from ..measures.audit import default_sampler
 
-    m = default_sampler(rng, 16)
-    return Meaning(m.symbols, tag="1" if rng.random() < 0.5 else "2")
+    m = default_sampler(draws, 16)
+    return Meaning(m.symbols, tag="1" if draws.random() < 0.5 else "2")
 
 
 # Measure audits: each takes the sample count and seed and returns verdicts.

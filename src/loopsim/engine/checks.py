@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..channel import ChannelSpec, PsiKind, apply_psi, context_tag, derive_seed
-from ..meanings import random_bits
+from ..channel import ChannelSpec, Draws, PsiKind, apply_psi, context_tag, derive_seed
 from .core import (
     EVENT_BUDGET_FROZEN,
     EVENT_BURST_HIT_W,
@@ -165,16 +164,16 @@ def estimate_gamma_star(
         raise BracketError(f"need 0 < lo < hi, got [{lo!r}, {hi!r}]")
     if iterations < 1 or mc_samples < 1:
         raise BracketError("iterations and mc_samples must be positive")
-    rng = np.random.default_rng(derive_seed(seed, "gamma-star"))
+    draws = Draws(derive_seed(seed, "gamma-star"))
     span = (hi - lo) / 4.0
 
     def gain_at(norm: float) -> float:
-        noise = random_bits(rng, channel.noise_len)
+        noise = draws.bits(channel.noise_len)
         tag = context_tag("", norm, None) if channel.psi_kind is PsiKind.TAGGED_INJECTIVE else ""
         return float(len(apply_psi(noise, tag, norm, 0, channel, False)))
 
     def always_gains(x: float) -> bool:
-        norms = [x] + list(x + rng.uniform(0.0, span, size=mc_samples - 1))
+        norms = [x] + [x + span * draws.random() for _ in range(mc_samples - 1)]
         return all(gain_at(n) > 0.0 for n in norms)
 
     a, b = lo, hi

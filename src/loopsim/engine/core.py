@@ -157,8 +157,8 @@ class RunConfig:
             raise ValueError("gamma must be positive")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.initial_norm < 0.0:
-            raise ValueError("initial_norm must be nonnegative")
+        if not 0.0 <= self.initial_norm < math.inf:
+            raise ValueError("initial_norm must be nonnegative and finite")
         if self.mode is Mode.ABSTRACT and not self.measure.length_arithmetic:
             raise ValueError(
                 "ABSTRACT mode supports length-arithmetic measures only; "

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -31,18 +30,10 @@ def concat(*meanings: Meaning) -> Meaning:
     return Meaning("".join(m.symbols for m in meanings))
 
 
-def random_bits(rng: np.random.Generator, n: int) -> str:
-    """n uniform bits as a '0'/'1' string, from one ``rng.integers`` call."""
-    return (rng.integers(0, 2, size=n).astype(np.uint8) + ord("0")).tobytes().decode()
-
-
 def edit_distance(a: str, b: str) -> int:
     """Length difference plus symbol mismatches over the shared prefix.
 
     Coincides with the Hamming distance on equal-length strings; this is the
     metric the Lipschitz audit uses.
     """
-    if len(a) > len(b):
-        a, b = b, a
-    mismatches = sum(x != y for x, y in zip(a, b))
-    return (len(b) - len(a)) + mismatches
+    return abs(len(a) - len(b)) + sum(map(operator.ne, a, b))

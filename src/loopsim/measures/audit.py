@@ -6,18 +6,19 @@ Checked per sampled meaning or pair:
   O3  Lipschitz continuity against the declared bound (edit-count metric)
   MII monotonicity under concatenation and invariance under empty extension
 Violations are data, not errors: they are counted and the offending inputs
-recorded verbatim so they can be replayed.
+recorded verbatim so they can be replayed. The corpora come from
+`channel.Draws`, an exact replay of numpy's seeded PCG64 Generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..channel import tile
-from ..meanings import Meaning, concat, edit_distance, random_bits
+from ..channel import Draws, tile
+from ..meanings import Meaning, concat, edit_distance
 from .core import MeasureSpec, symmetrised_kl
 from .lz78 import lz78_coded_bits, lz78_parse  # noqa: F401 (perfbench/spans.py patches it)
 
@@ -62,46 +63,32 @@ class AuditReport:
 
     @property
     def clean(self) -> bool:
-        return (
-            self.o1_violations
-            + self.o2_violations
-            + self.o3_violations
-            + self.mii_monotone_violations
-            + self.mii_extension_violations
-        ) == 0
+        return not any(getattr(self, counter) for counter in _COUNTERS.values())
 
     def violations(self, property_name: str) -> list[Counterexample]:
         return [c for c in self.counterexamples if c.property_name == property_name]
 
     def as_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "o1_violations": self.o1_violations,
-            "o2_violations": self.o2_violations,
-            "o3_violations": self.o3_violations,
-            "mii_monotone_violations": self.mii_monotone_violations,
-            "mii_extension_violations": self.mii_extension_violations,
-            "worst_lipschitz_ratio": self.worst_lipschitz_ratio,
-            "counterexamples": [c.as_dict() for c in self.counterexamples],
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["counterexamples"] = [c.as_dict() for c in self.counterexamples]
+        return doc
 
 
-def default_sampler(rng: np.random.Generator, max_len: int = 64) -> Meaning:
+def default_sampler(draws: Draws, max_len: int = 64) -> Meaning:
     """Mixed corpus: uniform random strings, constant runs, and periodic strings."""
-    n = int(rng.integers(0, max_len + 1))
-    style = rng.random()
+    n = draws.below(max_len + 1)
+    style = draws.random()
     if style < 0.6:
-        return Meaning(random_bits(rng, n))
+        return Meaning(draws.bits(n))
     if style < 0.8:
-        return Meaning(("1" if rng.random() < 0.5 else "0") * n)
-    period = int(rng.integers(1, 5))
-    unit = random_bits(rng, period)
-    return Meaning(tile(unit, n))
+        return Meaning(("1" if draws.random() < 0.5 else "0") * n)
+    period = 1 + draws.below(4)
+    return Meaning(tile(draws.bits(period), n))
 
 
 def audit_measure(
     spec: MeasureSpec,
-    sampler: Callable[[np.random.Generator], Meaning] | None = None,
+    sampler: Callable[[Draws], Meaning] | None = None,
     samples: int = 10_000,
     seed: int = 0,
     probes: Sequence[tuple[Meaning, Meaning]] = (),
@@ -113,7 +100,7 @@ def audit_measure(
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
-    rng = np.random.default_rng(seed)
+    draws = Draws(seed)
     sampler = sampler or default_sampler
     report = AuditReport(samples=samples)
 
@@ -121,7 +108,7 @@ def audit_measure(
     for m1, m2 in probes:
         _check_pair(spec, m1, m2, report)
     for _ in range(samples):
-        _check_pair(spec, sampler(rng), sampler(rng), report)
+        _check_pair(spec, sampler(draws), sampler(draws), report)
     return report
 
 
@@ -194,11 +181,11 @@ def audit_lz_dictionary_reuse(
     The inequality can fail under the incomplete-tail convention, so findings
     are reported rather than asserted.
     """
-    rng = np.random.default_rng(seed)
+    draws = Draws(seed)
     found: list[Counterexample] = []
     for _ in range(samples):
-        m1 = default_sampler(rng, max_len)
-        m2 = default_sampler(rng, max_len)
+        m1 = default_sampler(draws, max_len)
+        m2 = default_sampler(draws, max_len)
         lhs = lz78_coded_bits(concat(m1, m2))
         rhs = lz78_coded_bits(m1) + lz78_coded_bits(m2)
         if lhs > rhs:
@@ -208,8 +195,8 @@ def audit_lz_dictionary_reuse(
     return found
 
 
-def random_distribution(rng: np.random.Generator, support: int = 4) -> dict[int, float]:
-    weights = rng.random(support) + 1e-3
+def random_distribution(draws: Draws, support: int = 4) -> dict[int, float]:
+    weights = np.array([draws.random() for _ in range(support)]) + 1e-3
     weights /= weights.sum()
     return {i: float(w) for i, w in enumerate(weights)}
 
@@ -220,13 +207,13 @@ def audit_skl_pairs(samples: int = 100, seed: int = 0) -> dict:
 
     Report-only by design; the k-fold extension is left to scenario authors.
     """
-    rng = np.random.default_rng(seed)
+    draws = Draws(seed)
     worst_asymmetry = 0.0
     negative = 0
     super_additive_failures = 0
     for _ in range(samples):
-        p = random_distribution(rng)
-        q = random_distribution(rng)
+        p = random_distribution(draws)
+        q = random_distribution(draws)
         forward = symmetrised_kl(p, q)
         backward = symmetrised_kl(q, p)
         worst_asymmetry = max(worst_asymmetry, abs(forward - backward))

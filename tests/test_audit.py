@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loopsim.meanings import Meaning
+from loopsim.meanings import Meaning, edit_distance
 from loopsim.measures import (
     audit_lz_dictionary_reuse,
     audit_measure,
@@ -16,6 +18,22 @@ from loopsim.measures import (
 )
 
 FISHER_PROBE = (Meaning("1"), Meaning("0"))
+
+
+def generator_edit_distance(a, b):
+    """The metric as a generator expression over the shared prefix."""
+    if len(a) > len(b):
+        a, b = b, a
+    return (len(b) - len(a)) + sum(x != y for x, y in zip(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.text(alphabet="01ab", max_size=40), b=st.text(alphabet="01ab", max_size=40))
+def test_edit_distance_equals_generator_form(a, b):
+    # Unequal lengths and non-binary symbols included; the result is the same int.
+    distance = edit_distance(a, b)
+    assert type(distance) is int
+    assert distance == generator_edit_distance(a, b) == edit_distance(b, a)
 
 
 class TestLengthAudit:

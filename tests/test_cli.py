@@ -22,8 +22,8 @@ from loopsim.cli import (
 )
 from loopsim.cli.config import VALID_OUTPUTS, Scenario, build_run_config
 from loopsim.cli.main import main
-from loopsim.cli.runner import (AUDITS, KINDS, RUN_CHECKS, STATIC_ONLY, _verdicts, json_text,
-                                run_audit)
+from loopsim.cli.runner import (AUDITS, KINDS, RUN_CHECKS, STATIC_ONLY, _atomic_write, _verdicts,
+                                json_text, run_audit)
 from loopsim.engine import run
 
 def strict_loads(text):
@@ -232,6 +232,21 @@ class TestArtifacts:
         assert drift["status"] == "PASS"
         assert drift["detail"]["overflow_step"] == 3_174
         assert math.isfinite(drift["detail"]["mean_drift"])
+
+    def test_a_failed_write_keeps_the_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        target = tmp_path / "a.json"
+        target.write_text("old", encoding="utf-8")
+        write_text = pathlib.Path.write_text
+
+        def torn_write(self, text, *args, **kwargs):
+            write_text(self, text[:3], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pathlib.Path, "write_text", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            _atomic_write(target, "new contents")
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+        assert target.read_text(encoding="utf-8") == "old"
 
     def test_json_text_writes_non_finite_floats_as_null(self):
         doc = {"a": [math.inf, -math.inf, math.nan, 1.5], "b": {"c": (math.inf, 2)}}
@@ -614,6 +629,24 @@ class TestCliVerbs:
             main, ["run", str(config), "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "error: scenario 'tiny': " in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lines", [
+        "psi_kind = MIRROR\ninitial_norm = inf\n",
+        "psi_kind = IDENTITY\ninitial_norm = inf\n",
+        "psi_kind = MIRROR\ninitial_norm = nan\n",
+        "psi_kind = IDENTITY\ninitial_norm = nan\n",
+        "psi_kind = GATED\ngamma_true = 5\ngain_hi = 2\ninitial_norm = nan\n",
+    ], ids=["mirror_inf", "identity_inf", "mirror_nan", "identity_nan", "gated_nan"])
+    def test_a_non_finite_initial_norm_exits_two_naming_it(self, tmp_path, lines):
+        config = tmp_path / "bad.ini"
+        config.write_text("[meta]\nschema = 1\n\n[scenario:tiny]\nkind = run\n"
+                          "mode = ABSTRACT\nupdate_kind = OVERWRITE\nhorizon = 3\n" + lines)
+        result = CliRunner().invoke(
+            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "error: scenario 'tiny': " in result.output
+        assert "initial_norm must be nonnegative and finite" in result.output
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("lines,reason", [

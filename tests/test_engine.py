@@ -342,6 +342,16 @@ class TestRun:
         with pytest.raises(ValueError, match="initial_norm"):
             abstract_gated(-5.0, 10.0, 10.0, 0, 5, 1.0, horizon=10)
 
+    @pytest.mark.parametrize("psi,norm", [
+        (PsiKind.MIRROR, math.inf), (PsiKind.IDENTITY, math.inf), (PsiKind.MIRROR, math.nan),
+        (PsiKind.IDENTITY, math.nan), (PsiKind.GATED, math.nan)],
+        ids=["mirror_inf", "identity_inf", "mirror_nan", "identity_nan", "gated_nan"])
+    def test_non_finite_initial_norm_disallowed(self, psi, norm):
+        # MIRROR from inf used to end in int(inf)'s OverflowError; NaN passed `< 0.0`.
+        channel = ChannelSpec(psi_kind=psi, noise_len=4, gamma_true=5.0, gain_hi=2)
+        with pytest.raises(ValueError, match="initial_norm must be nonnegative and finite"):
+            RunConfig(channel=channel, update=windowed(5), horizon=3, initial_norm=norm)
+
     @pytest.mark.parametrize("mode,norm,symbols", [
         (Mode.ABSTRACT, 4.0, "0101"), (Mode.CONCRETE, 7.0, ""),
         (Mode.CONCRETE, 3.0, "01")], ids=["abstract_symbols", "concrete_none", "concrete_short"])

@@ -13,6 +13,7 @@ import pytest
 
 from loopsim.channel import (
     ChannelSpec,
+    Draws,
     PsiKind,
     apply_psi,
     constant_mask,
@@ -25,7 +26,6 @@ from loopsim.channel import (
     tag_hasher,
 )
 from loopsim.engine import ContextState, Mode
-from loopsim.meanings import random_bits
 
 
 def join_bits(rng, n):
@@ -126,6 +126,6 @@ def test_entropy_equals_loop_across_blocks(monkeypatch, noise_len):
 
 @pytest.mark.parametrize("n", [0, 1, 8, 64, 500])
 def test_random_bits_equals_join(n):
-    a, b = np.random.default_rng(n), np.random.default_rng(n)
-    assert random_bits(a, n) == join_bits(b, n)
-    assert a.random() == b.random()
+    draws, rng = Draws(n), np.random.default_rng(n)
+    assert draws.bits(n) == join_bits(rng, n)
+    assert draws.random() == rng.random()
