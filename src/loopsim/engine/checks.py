@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..channel import ChannelSpec, Draws, PsiKind, apply_psi, context_tag, derive_seed
+from ..channel import ChannelSpec, Draws, PsiKind, derive_seed, psi_output_length
 from .core import (
     EVENT_BUDGET_FROZEN,
     EVENT_BURST_HIT_W,
@@ -156,8 +156,9 @@ def estimate_gamma_star(
     """Bisect for the smallest context size above which every emission gains.
 
     Each probe x draws contexts with norms in [x, x + span] (always including
-    x itself), applies the channel valve-free, and asks whether the smallest
-    observed gain, the meaning length, is strictly positive. The estimate
+    x itself) and asks whether the smallest observed gain, the valve-free
+    meaning length, is strictly positive. Each sample draws its noise bits,
+    which the length ignores, as a sampler of meanings would. The estimate
     carries its bisection resolution (hi - lo) / 2**iterations.
     """
     if not 0.0 < lo < hi:
@@ -168,9 +169,8 @@ def estimate_gamma_star(
     span = (hi - lo) / 4.0
 
     def gain_at(norm: float) -> float:
-        noise = draws.bits(channel.noise_len)
-        tag = context_tag("", norm, None) if channel.psi_kind is PsiKind.TAGGED_INJECTIVE else ""
-        return float(len(apply_psi(noise, tag, norm, 0, channel, False)))
+        draws.bits(channel.noise_len)
+        return float(psi_output_length(channel, norm, 0))
 
     def always_gains(x: float) -> bool:
         norms = [x] + [x + span * draws.random() for _ in range(mc_samples - 1)]

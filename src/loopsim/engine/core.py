@@ -15,6 +15,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cache
 from itertools import repeat
 from typing import NamedTuple, TextIO
 
@@ -411,11 +412,17 @@ def _run_steps(cfg, masked_a, columns, start=None):
              else measure.evaluate_length if measure.length_arithmetic else None)
     can_stop = concrete and cfg.stop_on_fixed_point and spec.deterministic
     # Noise as `noise_from_digest` draws it: zeros at temperature 0, else the
-    # first noise_len bits of keyed blake2b(digest, t, block 0).
+    # first noise_len bits of keyed blake2b(digest, t, block 0), looked up by
+    # its first byte when that holds them all.
     n, nbytes = spec.noise_len, -(-spec.noise_len // 8)
     zeros, bits = ("0" * n if spec.temperature == 0.0 else None), f"0{8 * nbytes}b"
     keyed = (hashlib.blake2b(key=noise_key(spec.seed), digest_size=64)
-             if zeros is None and nbytes <= 64 else None)
+             if concrete and zeros is None and nbytes <= 64 else None)
+    table = _one_byte_noise(n) if keyed and nbytes == 1 else None
+    # An IDENTITY OVERWRITE context is the initial symbols, "" or one of the
+    # 2**n noise strings: for n <= 16 its digest is computed once per context.
+    digest_of = (cache(meaning_digest) if keyed and overwrite and identity and n <= 16
+                 else meaning_digest)
 
     def restart(text):
         """Chunks, length, digest hasher and tag hasher of a context ``text``."""
@@ -443,7 +450,7 @@ def _run_steps(cfg, masked_a, columns, start=None):
                     symbols = prev[length - keep:] if keep else ""
                     chunks, length, hasher, tagger = restart(symbols)
             if hasher:
-                digest = hasher.digest() if growing else meaning_digest(symbols)
+                digest = hasher.digest() if growing else digest_of(symbols)
             if tagged:
                 tag = (context_tag(length, x, tagger) if growing
                        else context_tag(symbols, x, tag_hasher(symbols)))
@@ -452,7 +459,8 @@ def _run_steps(cfg, masked_a, columns, start=None):
                 if keyed:
                     draw = keyed.copy()
                     draw.update(digest + t.to_bytes(8, "little") + b"\0\0\0\0")
-                    noise = format(int.from_bytes(draw.digest()[:nbytes], "big"), bits)[:n]
+                    noise = (table[draw.digest()[0]] if table else
+                             format(int.from_bytes(draw.digest()[:nbytes], "big"), bits)[:n])
                 else:
                     noise = zeros or noise_from_digest(digest, t, spec)
                 m = (noise if identity else noise + tag if tagged
@@ -491,6 +499,12 @@ def _run_steps(cfg, masked_a, columns, start=None):
             steps = t + 1
             break
     return steps, "".join(chunks) if growing else symbols
+
+
+@cache
+def _one_byte_noise(n):
+    """The noise of n <= 8 bits for each first byte of a keyed draw."""
+    return tuple(format(byte, "08b")[:n] for byte in range(256))
 
 
 @np.errstate(over="ignore")  # an overflow is flagged, as in the float loop

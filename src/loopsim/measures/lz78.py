@@ -59,17 +59,21 @@ def lz78_parse(m: Meaning | str) -> Lz78Parse:
 def lz78_coded_bits(m: Meaning | str) -> int:
     """``lz78_parse(m).coded_bits`` from a walk that only counts phrases: n
     phrases spend sum(ceil(log2 i), i = 1..n) = n*k - 2**k + 1 index bits,
-    k = ceil(log2 n), plus one bit for each complete phrase."""
+    k = ceil(log2 n), plus one bit for each complete phrase. The dictionary
+    is a trie of dicts keyed by character."""
     text = m.symbols if isinstance(m, Meaning) else m
-    seen, w = set(), ""
+    root = node = {}
+    complete = 0
     for ch in text:
-        w += ch
-        if w not in seen:
-            seen.add(w)
-            w = ""
-    n = len(seen) + bool(w)
+        child = node.get(ch)
+        if child is None:
+            node[ch] = {}
+            node, complete = root, complete + 1
+        else:
+            node = child
+    n = complete + (node is not root)
     k = (n - 1).bit_length()
-    return n * k - (1 << k) + 1 + len(seen) if n else 0
+    return n * k - (1 << k) + 1 + complete if n else 0
 
 
 def lz78_decode(parse: Lz78Parse) -> Meaning:

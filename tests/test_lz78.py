@@ -109,13 +109,17 @@ class TestCodedBitsCount:
         st.text("01", max_size=2_000),
         st.integers(0, 2_000).map(lambda n: "0" * n),
         st.builds(lambda head, n: head + "0" * n, st.text("01", max_size=200),
-                  st.integers(0, 400))))
+                  st.integers(0, 400)),
+        # Any alphabet, non-ASCII included: a measure takes any `Meaning`.
+        st.text(max_size=300),
+        st.builds(lambda a, b, n, tail: (a + b) * n + tail,
+                  st.characters(), st.characters(), st.integers(0, 60), st.text(max_size=8))))
     def test_equals_the_parse(self, text):
         assert lz78_coded_bits(text) == lz78_parse(text).coded_bits
         assert lz78_coded_bits(Meaning(text)) == lz78_parse(text).coded_bits
 
     def test_empty_runs_and_incomplete_tails(self):
         # "0" | "00" | "000" leaves 6 zeros complete; a 7th opens a tail "0".
-        for text in ["", "0", "00", "000000", "0000000", "0101", "01010"]:
+        for text in ["", "0", "00", "000000", "0000000", "0101", "01010", "é" * 9 + "ab"]:
             assert lz78_coded_bits(text) == lz78_parse(text).coded_bits, text
         assert lz78_parse("0000000").phrases[-1] == (1, None)
