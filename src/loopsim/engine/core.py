@@ -420,9 +420,8 @@ def _run_steps(cfg, masked_a, columns, start=None):
              if concrete and zeros is None and nbytes <= 64 else None)
     table = _one_byte_noise(n) if keyed and nbytes == 1 else None
     # An IDENTITY OVERWRITE context is the initial symbols, "" or one of the
-    # 2**n noise strings: for n <= 16 its digest is computed once per context.
-    digest_of = (cache(meaning_digest) if keyed and overwrite and identity and n <= 16
-                 else meaning_digest)
+    # table's strings, so each context's digest is computed once.
+    digest_of = cache(meaning_digest) if table and overwrite and identity else meaning_digest
 
     def restart(text):
         """Chunks, length, digest hasher and tag hasher of a context ``text``."""

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsim.channel import (
     ChannelSpec,
@@ -163,6 +165,18 @@ class TestPsi:
         assert psi_output_length(mirror, 42.9, 0) == 42
         assert psi_output_length(decay, 0.0, 0) == 100
         assert psi_output_length(decay, 0.0, 9) == 10
+
+    @pytest.mark.parametrize("kind", list(PsiKind))
+    @settings(max_examples=60, deadline=None)
+    @given(norm=st.floats(0.0, 2_000.0), t=st.integers(0, 50), noise_len=st.integers(1, 24))
+    def test_output_length_is_the_meaning_length(self, kind, norm, t, noise_len):
+        # The ABSTRACT arithmetic, and gamma-star's gain, stand for the meaning.
+        spec = ChannelSpec(psi_kind=kind, noise_len=noise_len, const_meaning="0110",
+                           gamma_true=50.0, gain_lo=1, gain_hi=7, decay_len=100.0, seed=0)
+        noise = noise_from_digest(meaning_digest(""), t, spec)
+        tag = context_tag("", norm, None)
+        meaning = apply_psi(noise, tag, norm, t, spec, False)
+        assert psi_output_length(spec, norm, t) == len(meaning)
 
     def test_gate_requires_ordered_gains(self):
         with pytest.raises(ValueError):
