@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+import functools
+import math
+from html import escape
 
 import numpy as np
 
@@ -20,16 +22,29 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return out_lo + (values - lo) / span * (out_hi - out_lo)
 
 
+@functools.lru_cache(maxsize=16)
+def _points_templates(n: int) -> tuple[str, ...]:
+    """Per row block of an n-point series: each x at .2f, then ',%s' for its y.
+    A template per block, not one per series, keeps a plot's peak memory low."""
+    xs = _scale(np.arange(n), 0, max(n - 1, 1), MARGIN, WIDTH - MARGIN)
+    return tuple(" ".join(x + ",%s" for x in texts) for _, (texts,) in column_blocks([xs], ".2f"))
+
+
 def svg_line_plot(series, threshold: float | None = None,
                   title: str = "") -> str:
-    """An SVG document plotting a series' finite prefix against its index."""
+    """An SVG document plotting a series' finite prefix against its index;
+    a non-finite threshold bounds the axes but draws no line."""
     values = np.asarray(series, dtype=float)
-    values = values[:np.isfinite(np.append(values, np.nan)).argmin()].tolist() or [0.0]
-    bounds = values + ([threshold] if threshold is not None else [])
-    lo, hi = min(min(bounds), 0.0), max(bounds)
-    xs = _scale(np.arange(len(values)), 0, max(len(values) - 1, 1), MARGIN, WIDTH - MARGIN)
-    ys = _scale(np.array(values), lo, hi, HEIGHT - MARGIN, MARGIN)
-    points = " ".join(" ".join(map(",".join, zip(*t))) for _, t in column_blocks([xs, ys], ".2f"))
+    values = values[:np.isfinite(np.append(values, np.nan)).argmin()]
+    if not len(values):
+        values = np.zeros(1)
+    extra = () if threshold is None else (threshold,)
+    # min and max keep their first argument when a NaN threshold follows it.
+    lo = min(float(values.min()), *extra, 0.0)
+    hi = max((float(values.max()), *extra))
+    ys = _scale(values, lo, hi, HEIGHT - MARGIN, MARGIN)
+    points = " ".join(template % tuple(texts) for template, (_, (texts,))
+                      in zip(_points_templates(len(values)), column_blocks([ys], ".2f")))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
@@ -39,7 +54,7 @@ def svg_line_plot(series, threshold: float | None = None,
         f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" '
         f'y2="{HEIGHT - MARGIN}" stroke="black"/>',
     ]
-    if threshold is not None:
+    if threshold is not None and math.isfinite(threshold):
         ty = _scale(threshold, lo, hi, HEIGHT - MARGIN, MARGIN)
         parts.append(
             f'<line x1="{MARGIN}" y1="{ty:.2f}" x2="{WIDTH - MARGIN}" '
@@ -47,7 +62,7 @@ def svg_line_plot(series, threshold: float | None = None,
     if title:
         parts.append(
             f'<text x="{MARGIN}" y="{MARGIN - 16}" font-size="14">'
-            f'{escape(title)}</text>')
+            f'{escape(title, quote=False)}</text>')
     parts.append(
         f'<polyline fill="none" stroke="steelblue" stroke-width="1.5" '
         f'points="{points}"/>')

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -344,6 +343,7 @@ def run_scenario(scenario: Scenario, outdir, jobs: int = 1) -> dict:
         for r in range(scenario.repeat)
     ]
     if jobs > 1 and len(work) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             entries = list(pool.map(_job, work))
     else:

@@ -3,7 +3,10 @@
 import dataclasses
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -12,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loopsim
 from loopsim.cli import (
     ScenarioParseError,
     ScenarioValidationError,
@@ -215,6 +219,17 @@ class TestArtifacts:
         assert summary["failures"] == 1
         svg = (tmp_path / "tiny" / "base__seed1.svg").read_text()
         assert "nan" not in svg and "inf" not in svg
+
+    @pytest.mark.parametrize("gamma", ["inf", "nan"])
+    def test_a_non_finite_threshold_draws_no_line(self, tmp_path, gamma):
+        config = tmp_path / "gamma.ini"
+        config.write_text(MINIMAL.replace("gamma = 10\n", f"gamma = {gamma}\n")
+                          .replace("checks = drift", "checks = bounded"))
+        result = CliRunner().invoke(main, ["run", str(config), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        svg = (tmp_path / "out" / "tiny" / "base__seed1.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg
+        assert 'stroke="red"' not in svg
 
     def test_overflow_truncated_drift_is_judged_on_the_finite_prefix(self):
         # MIRROR with delta 0.25 from 4 overflows after 3,175 of 4,000 steps.
@@ -423,6 +438,18 @@ class TestCliVerbs:
             main, ["run", "builtin", "--scenario", "drift",
                    "--out", str(tmp_path)])
         assert result.exit_code == 0
+
+    def test_import_loads_no_network_or_pool_modules(self):
+        child = ("import sys, loopsim.cli.main; print(*sorted(m for m in sys.modules if m in "
+                 "{'xml.sax', 'urllib.request', 'http.client', 'ssl', 'email', "
+                 "'concurrent.futures.process'}))")
+        src = str(pathlib.Path(loopsim.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        result = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                                text=True, timeout=120, env=env)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.split() == []
 
     def test_run_failure_exits_one(self, tmp_path):
         config = tmp_path / "fail.ini"

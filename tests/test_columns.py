@@ -196,3 +196,26 @@ def test_svg_matches_reference(series, threshold):
     title = "drift <a&b> seed 1"
     assert (svg_line_plot(series, threshold=threshold, title=title)
             == reference_svg(series, threshold, title))
+
+
+plotted = st.one_of(st.sampled_from((0.0, -0.0, 1e300, -1e300, 5e-324)),
+                    st.floats(min_value=-1e300, max_value=1e300))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 * BLOCK_ROWS + 52),
+       st.lists(st.lists(plotted, min_size=1, max_size=6), min_size=2, max_size=2),
+       st.integers(0, 2**32 - 1),
+       st.one_of(st.just(()), st.tuples(st.sampled_from((math.nan, math.inf, -math.inf)),
+                                        plotted)),
+       st.one_of(st.none(), st.sampled_from((0.0, -0.0)),
+                 st.floats(min_value=-1e300, max_value=1e300)))
+def test_svg_matches_reference_on_any_series(n, pools, seed, tail, threshold):
+    # Two series of one length, the second plotted from the cached x column;
+    # the reference gets the finite prefix, before the tail's non-finite head.
+    rng = np.random.default_rng(seed)
+    title = "gain <a&b> seed 1"
+    for pool in pools:
+        series = rng.choice(np.array(pool), n)
+        assert (svg_line_plot(np.append(series, tail), threshold=threshold, title=title)
+                == reference_svg(series, threshold, title))

@@ -5,7 +5,7 @@ seed, so their JSON text must not move when the code under them is
 refactored. `conjecture` is left out: its `np.polyfit` floats depend on the
 BLAS build. The run-level fields of every builtin run summary entry (steps,
 final norm, crossing step and total flops, none of which a CSV holds) are
-pinned value by value.
+pinned value by value, and the SVG plots of the builtin set by one digest.
 """
 
 import dataclasses
@@ -78,3 +78,19 @@ def test_builtin_run_summaries_are_pinned(tmp_path):
         got = [(e["steps"], e["final_norm"], e["crossing_step"], e["total_flops"])
                for e in summary["runs"]]
         assert got == RUN_SUMMARY_PINS[scenario.name], scenario.name
+
+
+# SHA-256 over the sorted relative names and bytes of every SVG the builtin
+# set writes with outputs csv,json,svg (`loopsim run builtin` writes none).
+BUILTIN_SVG_DIGEST = "72630b577d990deaddf9557bca33665c56fa3286b63433fc74692ac4db6b1085"
+
+
+def test_builtin_svg_plots_are_pinned(tmp_path):
+    for scenario in builtin_scenarios():
+        run_scenario(dataclasses.replace(scenario, outputs=("csv", "json", "svg")), tmp_path)
+    digest = hashlib.sha256()
+    paths = sorted(tmp_path.rglob("*.svg"))
+    for path in paths:
+        digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0" + path.read_bytes())
+    assert len(paths) == 20
+    assert digest.hexdigest() == BUILTIN_SVG_DIGEST
