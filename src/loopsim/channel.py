@@ -57,11 +57,11 @@ class EpsilonSchedule:
     def __post_init__(self) -> None:
         if not 0.0 <= self.eps0 < 1.0:
             raise ValueError("eps0 must lie in [0, 1)")
-        if self.kappa < 0.0:
+        if not self.kappa >= 0.0:
             raise ValueError("kappa must be nonnegative")
-        if self.alpha_decay <= 0.0:
+        if not self.alpha_decay > 0.0:
             raise ValueError("alpha_decay must be positive")
-        if self.kind is ScheduleKind.POWER_LAW and self.eps0 + self.kappa >= 1.0:
+        if self.kind is ScheduleKind.POWER_LAW and not self.eps0 + self.kappa < 1.0:
             raise ValueError("eps0 + kappa must stay below 1 (rate at t = 1)")
 
     @property
@@ -133,7 +133,7 @@ class ChannelSpec:
     decay_power: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.temperature < 0.0:
+        if not self.temperature >= 0.0:
             raise ValueError("temperature must be nonnegative")
         if self.noise_len < 1:
             raise ValueError("noise_len must be at least 1")
@@ -142,6 +142,8 @@ class ChannelSpec:
                 raise ValueError("gate gains must be nonnegative")
             if not self.gain_lo < self.gain_hi:
                 raise ValueError("gain_lo must be below gain_hi")
+            if math.isnan(self.gamma_true):
+                raise ValueError("gamma_true must be a number")
         if self.psi_kind is PsiKind.CONSTANT and self.const_meaning.strip("01"):
             raise ValueError("const_meaning must be binary")
         if self.psi_kind is PsiKind.DECAYING:

@@ -33,13 +33,13 @@ def _points_templates(n: int) -> tuple[str, ...]:
 def svg_line_plot(series, threshold: float | None = None,
                   title: str = "") -> str:
     """An SVG document plotting a series' finite prefix against its index;
-    a non-finite threshold bounds the axes but draws no line."""
+    only a finite threshold draws a line and bounds the axes."""
     values = np.asarray(series, dtype=float)
     values = values[:np.isfinite(np.append(values, np.nan)).argmin()]
     if not len(values):
         values = np.zeros(1)
-    extra = () if threshold is None else (threshold,)
-    # min and max keep their first argument when a NaN threshold follows it.
+    finite = threshold is not None and math.isfinite(threshold)
+    extra = (threshold,) if finite else ()
     lo = min(float(values.min()), *extra, 0.0)
     hi = max((float(values.max()), *extra))
     ys = _scale(values, lo, hi, HEIGHT - MARGIN, MARGIN)
@@ -54,7 +54,7 @@ def svg_line_plot(series, threshold: float | None = None,
         f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" '
         f'y2="{HEIGHT - MARGIN}" stroke="black"/>',
     ]
-    if threshold is not None and math.isfinite(threshold):
+    if finite:
         ty = _scale(threshold, lo, hi, HEIGHT - MARGIN, MARGIN)
         parts.append(
             f'<line x1="{MARGIN}" y1="{ty:.2f}" x2="{WIDTH - MARGIN}" '

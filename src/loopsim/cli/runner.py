@@ -15,6 +15,7 @@ import json
 import math
 import os
 import re
+from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -23,10 +24,7 @@ import numpy as np
 from ..channel import PsiKind, epsilon_at
 from ..cost import CostVariant, cumulative_compute
 from ..engine import (
-    NoCrossingError,
-    PreconditionError,
     PrototypeMode,
-    RuleMismatchError,
     burst_stats,
     detect_fixed_point,
     divergence_time_bound,
@@ -114,14 +112,15 @@ def _delta_eps(cfg) -> tuple[float, float]:
 def _verdicts(table, names, *args) -> list[dict]:
     """The verdicts of the checks `names` of `table`, each given `args`.
 
-    A check whose verifier rejects the run (no crossing, a start above the
-    threshold, a run its rule does not fit) fails, naming the reason.
+    A check whose verifier rejects the run (a `PreconditionError`: no
+    crossing, a start above the threshold, a run its rule or mode does not
+    fit) or its numbers (any other ValueError) fails, naming the reason.
     """
     verdicts = []
     for name in names:
         try:
             status, detail = table[name](*args)
-        except (NoCrossingError, PreconditionError, RuleMismatchError, ValueError) as exc:
+        except ValueError as exc:
             status, detail = FAIL, {"error": str(exc)}
         verdicts.append(_verdict(name, status, detail))
     return verdicts
@@ -145,7 +144,7 @@ def _bounded(traj, cfg, fields):
 
 
 def _bursts(traj, cfg, fields):
-    report = burst_stats(traj, cfg.update.window)
+    report = burst_stats(traj)
     return _status(report.passed and report.bursts > 0), dict(
         bursts=report.bursts, max_norm=report.max_norm, gap_bound=report.gap_bound)
 
@@ -189,16 +188,18 @@ RUN_CHECKS = {"drift": _drift, "bounded": _bounded, "bursts": _bursts,
               "time_bound": _time_bound, "sublinear_growth": _sublinear_growth}
 
 
-def _collective_gain(traj, spec):
-    report = check_collective_gain(traj, spec)
+# Swarm checks: each takes the trajectory alone.
+
+def _collective_gain(traj):
+    report = check_collective_gain(traj)
     return _status(report.passed), dict(
         collective_mean=report.collective_mean,
         collective_bound=report.collective_bound,
         per_agent=[(c.mean_delta, c.bound) for c in report.per_agent])
 
 
-def _divergence(traj, spec):
-    report = predict_and_verify_divergence(spec, traj.steps, traj.seed)
+def _divergence(traj):
+    report = predict_and_verify_divergence(traj.spec, traj.steps, traj.seed)
     ok = report.flagged_divergent and bool(report.growth_ok)
     status = _status(ok) if report.rho > 1.0 else INFO
     return status, dict(rho=report.rho, slope=report.slope,
@@ -250,7 +251,7 @@ def _execute_swarm_job(scenario, label, overrides, seed, outdir):
         "steps": traj.steps,
         "final_norms": [float(n) for n in traj.norm[:, -1]],
         "crossing_step": traj.first_crossing(spec.gamma),
-        "checks": _verdicts(SWARM_CHECKS, scenario.checks, traj, spec),
+        "checks": _verdicts(SWARM_CHECKS, scenario.checks, traj),
     }
     if traj.overflow_tick is not None:
         entry["overflow_tick"] = traj.overflow_tick
@@ -293,6 +294,13 @@ def _execute_prototype_job(scenario, label, overrides, seed, outdir):
     return entry
 
 
+class BudgetBinding(str, Enum):
+    """What a `conjecture` budget becomes: the crossing level, or nothing."""
+
+    GAMMA = "GAMMA"
+    NONE = "NONE"
+
+
 # The fields each kind's runner reads beside its built specs, parsed at load:
 # key -> (default, least allowed value).
 _RUN_FIELDS = {
@@ -305,7 +313,7 @@ _RUN_FIELDS = {
     "mc_samples": (32, 1),
     "budgets": ((), None),           # conjecture
     "conjecture_seeds": (10, 1),
-    "budget_binding": ("gamma", None),
+    "budget_binding": (BudgetBinding.GAMMA, None),
 }
 _SWARM_FIELDS = {"seed": (0, None), "horizon": (100, 1)}
 _PROTOTYPE_FIELDS = {"seed": (0, None), "steps": (200, 1), "gamma": (10.0, None)}
@@ -484,7 +492,7 @@ def conjecture_experiment(scenario: Scenario) -> dict:
     """Crossing-time-versus-budget fit.
 
     The scenario's `budgets` list supplies the grid; `budget_binding` says
-    what a budget value becomes (`gamma`: the crossing level; `none`: inert,
+    what a budget value becomes (`GAMMA`: the crossing level; `NONE`: inert,
     the control case). Runs that never cross are excluded and counted. The
     fit is ordinary least squares of mean crossing time against log budget;
     no verdict is attached.
@@ -493,14 +501,14 @@ def conjecture_experiment(scenario: Scenario) -> dict:
     budgets = fields["budgets"]
     if len(set(budgets)) < 3:
         raise ValueError("the budget grid needs at least 3 distinct values")
-    if min(budgets) <= 0.0:
+    if not all(budget > 0.0 for budget in budgets):
         raise ValueError("budgets must be positive")
 
     points = []
     excluded = 0
     for budget in budgets:
         overrides = {}
-        if fields["budget_binding"] == "gamma":
+        if fields["budget_binding"] is BudgetBinding.GAMMA:
             overrides["gamma"] = repr(budget)
         crossings = []
         for r in range(fields["conjecture_seeds"]):

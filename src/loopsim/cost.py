@@ -36,11 +36,11 @@ class CostModel:
     log_coeff: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.alpha_attn <= 0.0 or self.alpha_ffn <= 0.0 or self.alpha_attn_r <= 0.0:
+        if not all(a > 0.0 for a in (self.alpha_attn, self.alpha_ffn, self.alpha_attn_r)):
             raise ValueError("cost coefficients must be strictly positive")
         if self.variant is CostVariant.LOW_RANK and self.rank < 1:
             raise ValueError("rank must be at least 1")
-        if self.variant is CostVariant.LOG_RANK and self.log_coeff <= 0.0:
+        if self.variant is CostVariant.LOG_RANK and not self.log_coeff > 0.0:
             raise ValueError("log_coeff must be positive")
 
 

@@ -19,25 +19,10 @@ from .core import (
     EVENT_BURST_HIT_W,
     EVENT_MASKED,
     EVENT_OVERFLOW,
+    PreconditionError,
     Trajectory,
     UpdateKind,
 )
-
-
-class NoCrossingError(RuntimeError):
-    """The trajectory never crossed the required level."""
-
-
-class PreconditionError(RuntimeError):
-    """The trajectory does not satisfy the verifier's premise."""
-
-
-class RuleMismatchError(RuntimeError):
-    """The trajectory was produced under an incompatible update rule."""
-
-
-class BracketError(ValueError):
-    """Invalid search bracket."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +57,7 @@ def verify_drift(traj: Trajectory, delta: float, gamma: float,
     end = traj.steps if overflow_step is None else overflow_step
     t0 = traj.first_crossing(gamma)
     if t0 is None or t0 > end:
-        raise NoCrossingError(f"norm never exceeded {gamma!r}")
+        raise PreconditionError(f"norm never exceeded {gamma!r}")
     norms = traj.norms[:end + 1]
     deltas, events = traj.delta[t0:end], traj.events[t0:end]
     masked = (events & EVENT_MASKED) != 0
@@ -162,9 +147,9 @@ def estimate_gamma_star(
     carries its bisection resolution (hi - lo) / 2**iterations.
     """
     if not 0.0 < lo < hi:
-        raise BracketError(f"need 0 < lo < hi, got [{lo!r}, {hi!r}]")
+        raise ValueError(f"need 0 < lo < hi, got [{lo!r}, {hi!r}]")
     if iterations < 1 or mc_samples < 1:
-        raise BracketError("iterations and mc_samples must be positive")
+        raise ValueError("iterations and mc_samples must be positive")
     draws = Draws(derive_seed(seed, "gamma-star"))
     span = (hi - lo) / 4.0
 
@@ -222,16 +207,16 @@ class BurstReport:
         return self.max_norm_ok and self.gaps_ok
 
 
-def burst_stats(traj: Trajectory, window: int) -> BurstReport:
-    """Burst census of a window-capped run.
+def burst_stats(traj: Trajectory) -> BurstReport:
+    """Burst census of a window-capped run, under the run's own window W.
 
     A burst is a step that lifts the norm to exactly the cap from below. On
     gated runs the gap between consecutive bursts must stay within
     ceil((W - drop_to) / (delta * gain_scale * (1 - eps0) * gamma)).
     """
     rule = traj.config.update
-    if rule.kind is not UpdateKind.WINDOWED or rule.window != window:
-        raise RuleMismatchError("trajectory was not produced under this window cap")
+    if rule.kind is not UpdateKind.WINDOWED:
+        raise PreconditionError("trajectory was not produced under a window cap")
 
     burst_steps = np.nonzero((traj.events & EVENT_BURST_HIT_W) != 0)[0]
     gaps = tuple(int(g) for g in np.diff(burst_steps))
@@ -243,13 +228,13 @@ def burst_stats(traj: Trajectory, window: int) -> BurstReport:
     if channel.psi_kind is PsiKind.GATED:
         eps0 = channel.mask_rate.eps0
         drift = rule.scale * (1.0 - eps0) * traj.config.gamma
-        gap_bound = math.ceil((window - rule.drop_to) / drift)
+        gap_bound = math.ceil((rule.window - rule.drop_to) / drift)
         gaps_ok = all(g <= gap_bound for g in gaps)
 
     return BurstReport(
         bursts=int(len(burst_steps)), max_norm=max_norm,
         gaps=gaps, gap_bound=gap_bound,
-        max_norm_ok=max_norm <= window, gaps_ok=gaps_ok,
+        max_norm_ok=max_norm <= rule.window, gaps_ok=gaps_ok,
     )
 
 

@@ -44,8 +44,9 @@ from ..meanings import Meaning
 from ..measures import MeasureKind, MeasureSpec, length_measure
 
 
-class AbstractModeError(RuntimeError):
-    """The operation needs concrete symbols and the run kept none."""
+class PreconditionError(ValueError):
+    """The run does not meet a check's premise: it needs concrete symbols,
+    a crossing, another update rule or a start below the threshold."""
 
 
 class Mode(str, Enum):
@@ -91,9 +92,9 @@ class UpdateRuleSpec:
 
     def __post_init__(self) -> None:
         if self.kind in (UpdateKind.DELTA_MONOTONE, UpdateKind.WINDOWED):
-            if self.delta <= 0.0:
+            if not self.delta > 0.0:
                 raise ValueError("delta must be positive")
-            if self.gain_scale <= 0.0:
+            if not self.gain_scale > 0.0:
                 raise ValueError("gain_scale must be positive")
         if self.kind is UpdateKind.WINDOWED:
             if self.window < 1:
@@ -125,6 +126,10 @@ class BudgetGate:
     max_flops: float = math.inf
     max_norm: float = math.inf
 
+    def __post_init__(self) -> None:
+        if math.isnan(self.max_flops) or math.isnan(self.max_norm):
+            raise ValueError("max_flops and max_norm must be numbers")
+
 
 @dataclass(frozen=True)
 class ContextState:
@@ -151,10 +156,9 @@ class RunConfig:
     initial_symbols: str = ""
     budget: BudgetGate | None = None
     cost_model: CostModel = field(default_factory=CostModel)
-    stop_on_fixed_point: bool = True
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise ValueError("gamma must be positive")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
@@ -176,6 +180,12 @@ class RunConfig:
 
     def initial_state(self) -> ContextState:
         return ContextState(self.mode, float(self.initial_norm), self.initial_symbols)
+
+    @property
+    def stop_on_fixed_point(self) -> bool:
+        """True for a deterministic CONCRETE run: a step that leaves its state
+        unchanged repeats forever, so the run stops there."""
+        return self.mode is Mode.CONCRETE and self.channel.deterministic
 
 
 EVENT_MASKED = 1
@@ -410,7 +420,7 @@ def _run_steps(cfg, masked_a, columns, start=None):
     grow = None if overwrite else _increment(rule)
     score = (float if measure.kind is MeasureKind.LENGTH
              else measure.evaluate_length if measure.length_arithmetic else None)
-    can_stop = concrete and cfg.stop_on_fixed_point and spec.deterministic
+    can_stop = cfg.stop_on_fixed_point
     # Noise as `noise_from_digest` draws it: zeros at temperature 0, else the
     # first noise_len bits of keyed blake2b(digest, t, block 0), looked up by
     # its first byte when that holds them all.
@@ -634,5 +644,5 @@ def detect_fixed_point(traj: Trajectory) -> int | None:
     Needs concrete symbols: state equality is undefined on a bare norm ledger.
     """
     if traj.config.mode is not Mode.CONCRETE:
-        raise AbstractModeError("fixed-point detection needs a CONCRETE run")
+        raise PreconditionError("fixed-point detection needs a CONCRETE run")
     return traj.steps - 1 if traj.events[-1] & EVENT_FIXED_POINT else None

@@ -20,6 +20,7 @@ import numpy as np
 from .channel import derive_seed
 from .columns import write_csv
 from .engine.checks import five_se
+from .engine.core import PreconditionError
 from .meanings import Meaning
 from .measures import declared_gain
 
@@ -56,17 +57,17 @@ class SwarmSpec:
             raise ValueError(f"beta must be {self.k}x{self.k}")
         if np.any(np.diag(beta) != 0.0):
             raise ValueError("beta must have a zero diagonal")
-        if np.any(beta < 0.0):
+        if not (beta >= 0.0).all():
             raise ValueError("beta entries must be nonnegative")
         if lam.shape != (self.k,):
             raise ValueError(f"lam must have {self.k} entries")
-        if np.any((lam <= 0.0) | (lam > 1.0)):
+        if not ((lam > 0.0) & (lam <= 1.0)).all():
             raise ValueError("activity rates must lie in (0, 1]")
-        if self.base_gain <= 0.0:
+        if not self.base_gain > 0.0:
             raise ValueError("base_gain must be positive")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise ValueError("delta must be positive")
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise ValueError("gamma must be positive")
 
     @property
@@ -107,7 +108,6 @@ class SwarmTrajectory:
     norm: np.ndarray          # (k, steps + 1) state norms
     delta: np.ndarray         # (k, steps) per-agent increments
     active: np.ndarray        # (k, steps) participation
-    solo_delta: np.ndarray    # (steps,) isolated-agent reference increments
     overflow_tick: int | None = None  # the last tick, if its norms are not finite
 
     @property
@@ -135,12 +135,8 @@ class SwarmTrajectory:
 
 
 def run_swarm(spec: SwarmSpec, horizon: int, seed: int = 0) -> SwarmTrajectory:
-    """Iterate the broadcast coupling, alongside an isolated reference agent.
-
-    The solo reference updates every tick on its own meaning alone, so its
-    increment is delta * base_gain. The run stops after the first tick whose
-    norms are not finite, and names it as ``overflow_tick``.
-    """
+    """Iterate the broadcast coupling. The run stops after the first tick
+    whose norms are not finite, and names it as ``overflow_tick``."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     k = spec.k
@@ -169,8 +165,7 @@ def run_swarm(spec: SwarmSpec, horizon: int, seed: int = 0) -> SwarmTrajectory:
     finite = np.isfinite(norm[:, 1:]).all(axis=0)
     n = horizon if finite.all() else int(finite.argmin()) + 1
     return SwarmTrajectory(spec=spec, seed=seed, norm=norm[:, :n + 1], delta=delta[:, :n],
-                           active=active[:n].T, solo_delta=np.full(n, spec.delta * spec.base_gain),
-                           overflow_tick=None if finite.all() else n - 1)
+                           active=active[:n].T, overflow_tick=None if finite.all() else n - 1)
 
 
 @dataclass(frozen=True)
@@ -194,23 +189,26 @@ class CollectiveGainReport:
         return self.collective_ok and all(a.ok for a in self.per_agent)
 
 
-def check_collective_gain(traj: SwarmTrajectory, spec: SwarmSpec) -> CollectiveGainReport:
+def check_collective_gain(traj: SwarmTrajectory) -> CollectiveGainReport:
     """One-sided comparison of observed increments against the swarm bounds.
 
     Uniform-bonus runs are held to (1 + beta) * k * solo (scaled by the
     activity rate under the Bernoulli schedule); non-uniform runs to the
-    averaged-bonus form. Each comparison allows five standard errors of
-    Monte-Carlo slack. A run that overflowed has no mean to compare, and a
-    RELAY agent's gain sums only the others' previous increments, which the
-    broadcast bound does not describe.
+    averaged-bonus form. solo = delta * base_gain is the increment of an
+    agent that updates every tick on its own meaning alone. Each comparison
+    allows five standard errors of Monte-Carlo slack. A run that overflowed
+    has no mean to compare, and a RELAY agent's gain sums only the others'
+    previous increments, which the broadcast bound does not describe.
     """
+    spec = traj.spec
     if traj.overflow_tick is not None:
-        raise ValueError(f"the swarm norms overflowed at tick {traj.overflow_tick}")
+        raise PreconditionError(f"the swarm norms overflowed at tick {traj.overflow_tick}")
     if spec.gain_mode is not GainMode.STATIC:
-        raise ValueError("the broadcast bound (1 + beta)·k·solo holds for STATIC gains only")
+        raise PreconditionError(
+            "the broadcast bound (1 + beta)·k·solo holds for STATIC gains only")
     uniform = spec.uniform_bonus
     factor_bonus = uniform if uniform is not None else spec.mean_bonus
-    solo_mean = float(traj.solo_delta.mean())
+    solo_mean = spec.delta * spec.base_gain
     async_mode = spec.schedule is Schedule.BERNOULLI_ASYNC
 
     checks = []

@@ -165,7 +165,7 @@ def test_criterion_07_window_bursts():
     cfg = gated_config(
         11.0, 10.0, 10.0, 0, 10, 1.0, horizon=100_000, seed=5,
         update=windowed(window=100, delta=1.0, drop_to=11.0))
-    stats = burst_stats(run(cfg), window=100)
+    stats = burst_stats(run(cfg))
     gap_ok = stats.gap_bound == 9 and all(g <= stats.gap_bound for g in stats.gaps)
     ok = stats.bursts >= 100 and stats.max_norm == 100.0 and gap_ok
     report(7, ok, f"bursts {stats.bursts}, max {stats.max_norm}, "

@@ -220,7 +220,7 @@ class TestArtifacts:
         svg = (tmp_path / "tiny" / "base__seed1.svg").read_text()
         assert "nan" not in svg and "inf" not in svg
 
-    @pytest.mark.parametrize("gamma", ["inf", "nan"])
+    @pytest.mark.parametrize("gamma", ["inf"])
     def test_a_non_finite_threshold_draws_no_line(self, tmp_path, gamma):
         config = tmp_path / "gamma.ini"
         config.write_text(MINIMAL.replace("gamma = 10\n", f"gamma = {gamma}\n")
@@ -230,6 +230,10 @@ class TestArtifacts:
         svg = (tmp_path / "out" / "tiny" / "base__seed1.svg").read_text()
         assert "nan" not in svg and "inf" not in svg
         assert 'stroke="red"' not in svg
+        # The threshold does not bound the axes: the rising norm is not flat.
+        polyline, = ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}polyline")
+        ys = {point.split(",")[1] for point in polyline.get("points").split()}
+        assert len(ys) > 1
 
     def test_overflow_truncated_drift_is_judged_on_the_finite_prefix(self):
         # MIRROR with delta 0.25 from 4 overflows after 3,175 of 4,000 steps.
@@ -324,6 +328,7 @@ class TestCheckTables:
         ("bursts", "", ""),                    # not a WINDOWED run
         ("time_bound", "seed = 1", "seed = 1\nbound_target = 5"),  # below the crossing
         ("sublinear_growth", "horizon = 50", "horizon = 1"),
+        ("fixed_point", "", ""),               # an ABSTRACT run
     ])
     def test_rejected_run_fails_naming_the_reason(self, tmp_path, check, old, new):
         text = MINIMAL.replace("checks = drift", f"checks = {check}").replace(old, new)
@@ -421,6 +426,24 @@ class TestConjecture:
         fit = conjecture_experiment(scenario)
         assert abs(fit["slope"]) < 0.5
 
+    def test_report_reads_a_fit_as_one_info_row(self, tmp_path):
+        result = CliRunner().invoke(main, ["conjecture", "builtin", "--scenario",
+                                           "conjecture_flat", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        result = CliRunner().invoke(main, ["report", str(tmp_path)])
+        assert result.exit_code == 0
+        rows = result.output.splitlines()[1:-1]
+        assert [row.split()[:4] for row in rows] == [
+            ["conjecture_flat", "conjecture", "conjecture_fit", "INFO"]]
+
+    @pytest.mark.parametrize("binding", ["gamma", "none"])
+    def test_a_nan_budget_exits_two(self, tmp_path, binding):
+        path = tmp_path / "nan.ini"
+        path.write_text(MINIMAL + f"budgets = 50,nan,200\nbudget_binding = {binding}\n")
+        result = CliRunner().invoke(main, ["conjecture", str(path)])
+        assert result.exit_code == 2
+        assert "error: scenario 'tiny': budgets must be positive" in result.output
+
     def test_needs_three_distinct_budgets(self):
         from loopsim.cli import conjecture_experiment
         base = [s for s in builtin_scenarios() if s.name == "conjecture_log"][0]
@@ -450,6 +473,15 @@ class TestCliVerbs:
                                 text=True, timeout=120, env=env)
         assert result.returncode == 0, result.stderr[-2000:]
         assert result.stdout.split() == []
+
+    def test_fixed_point_on_an_abstract_run_fails_naming_concrete(self, tmp_path):
+        config = tmp_path / "abstract.ini"
+        config.write_text(MINIMAL.replace("checks = drift", "checks = fixed_point"))
+        result = CliRunner().invoke(
+            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1, result.output
+        verdict, = strict_json(tmp_path / "out" / "tiny.summary.json")["runs"][0]["checks"]
+        assert verdict["status"] == "FAIL" and "CONCRETE" in verdict["detail"]["error"]
 
     def test_run_failure_exits_one(self, tmp_path):
         config = tmp_path / "fail.ini"
@@ -618,7 +650,9 @@ class TestCliVerbs:
         ("run", "horizon", "[meta]\nschema = 1\n\n[scenario:tiny]\nkind = swarm\n"
                            "beta = 0 0.5; 0.5 0\ngamma = 100\nhorizon = 0\n"),
         ("gamma-star", "iterations", MINIMAL + "bracket_lo = 1\niterations = 0\n"),
-    ], ids=["bound_target", "rank", "swarm_horizon", "iterations"])
+        ("conjecture", "budget_binding",
+         MINIMAL + "budgets = 50,100,200\nbudget_binding = gama\n"),
+    ], ids=["bound_target", "rank", "swarm_horizon", "iterations", "budget_binding"])
     def test_bad_runner_field_exits_two_naming_it(self, tmp_path, verb, field, text):
         config = tmp_path / "bad.ini"
         config.write_text(text)
@@ -680,11 +714,16 @@ class TestCliVerbs:
         ("measure_kind = POWER_LAW\nbeta_pow = nan\n", "power-law exponent must exceed 1"),
         ("mode = ABSTRACT\ninitial_symbols = 0101\n", "initial_symbols"),
         ("mode = CONCRETE\npsi_kind = IDENTITY\ninitial_norm = 7\n", "initial_symbols"),
-    ], ids=["beta_pow_nan", "abstract_symbols", "concrete_norm_without_symbols"])
+        ("gamma = nan\n", "gamma must be positive"),
+        ("psi_kind = GATED\ngamma_true = nan\n", "gamma_true must be a number"),
+        ("temperature = nan\n", "temperature must be nonnegative"),
+        ("update_kind = DELTA_MONOTONE\ndelta = nan\n", "delta must be positive"),
+    ], ids=["beta_pow_nan", "abstract_symbols", "concrete_norm_without_symbols",
+            "gamma_nan", "gamma_true_nan", "temperature_nan", "delta_nan"])
     def test_an_invalid_measure_or_start_exits_two_naming_it(self, tmp_path, lines, reason):
         config = tmp_path / "bad.ini"
         config.write_text("[meta]\nschema = 1\n\n[scenario:tiny]\nkind = run\n"
-                          "update_kind = OVERWRITE\nhorizon = 3\n" + lines)
+                          "horizon = 3\n" + lines)
         result = CliRunner().invoke(
             main, ["run", str(config), "--out", str(tmp_path / "out")])
         assert result.exit_code == 2

@@ -162,8 +162,7 @@ def _spec(**kwargs):
 def _empty_swarm(spec):
     return SwarmTrajectory(spec=spec, seed=0, norm=np.zeros((spec.k, 1)),
                            delta=np.zeros((spec.k, 0)),
-                           active=np.zeros((spec.k, 0), dtype=bool),
-                           solo_delta=np.zeros(0))
+                           active=np.zeros((spec.k, 0), dtype=bool))
 
 
 @pytest.mark.parametrize("traj", [

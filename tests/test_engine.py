@@ -28,10 +28,10 @@ from loopsim.engine import (
     EVENT_CROSSED_GAMMA,
     EVENT_FIXED_POINT,
     EVENT_OVERFLOW,
-    AbstractModeError,
     BudgetGate,
     ContextState,
     Mode,
+    PreconditionError,
     RunConfig,
     SublinearKind,
     UpdateKind,
@@ -137,8 +137,7 @@ def step_loop(cfg):
     deterministic CONCRETE step that leaves the state unchanged (FIXED_POINT).
     """
     state = cfg.initial_state()
-    can_stop = (cfg.mode is Mode.CONCRETE and cfg.stop_on_fixed_point
-                and cfg.channel.deterministic)
+    can_stop = cfg.stop_on_fixed_point
     crossed = state.norm > cfg.gamma
     cum_flops = 0.0
     rows = []
@@ -362,6 +361,25 @@ class TestRun:
         with pytest.raises(ValueError, match="initial_norm must be nonnegative and finite"):
             RunConfig(channel=channel, update=windowed(5), horizon=3, initial_norm=norm)
 
+    @pytest.mark.parametrize("build,reason", [
+        (lambda nan: abstract_gated(0.0, nan, 10.0, 0, 5, 1.0, 1), "gamma must be positive"),
+        (lambda nan: abstract_gated(0.0, 10.0, nan, 0, 5, 1.0, 1), "gamma_true"),
+        (lambda nan: delta_monotone(nan), "delta must be positive"),
+        (lambda nan: delta_monotone(1.0, gain_scale=nan), "gain_scale must be positive"),
+        (lambda nan: ChannelSpec(temperature=nan), "temperature must be nonnegative"),
+        (lambda nan: constant_mask(nan), "eps0"),
+        (lambda nan: power_law_mask(0.1, nan, 1.0), "kappa"),
+        (lambda nan: power_law_mask(0.1, 0.2, nan), "alpha_decay"),
+        (lambda nan: CostModel(alpha_ffn=nan), "cost coefficients"),
+        (lambda nan: CostModel(variant=CostVariant.LOG_RANK, log_coeff=nan), "log_coeff"),
+        (lambda nan: BudgetGate(max_norm=nan), "max_norm"),
+    ], ids=["gamma", "gamma_true", "delta", "gain_scale", "temperature", "eps0", "kappa",
+            "alpha_decay", "alpha_ffn", "log_coeff", "max_norm"])
+    def test_a_nan_parameter_is_refused(self, build, reason):
+        # Every comparison with NaN is false, so each check is written to fail on it.
+        with pytest.raises(ValueError, match=reason):
+            build(math.nan)
+
     @pytest.mark.parametrize("mode,norm,symbols", [
         (Mode.ABSTRACT, 4.0, "0101"), (Mode.CONCRETE, 7.0, ""),
         (Mode.CONCRETE, 3.0, "01")], ids=["abstract_symbols", "concrete_none", "concrete_short"])
@@ -473,7 +491,7 @@ class TestFixedPoints:
 
     def test_abstract_mode_unsupported(self):
         cfg = abstract_gated(0.0, 10.0, 10.0, 0, 5, 1.0, horizon=10)
-        with pytest.raises(AbstractModeError):
+        with pytest.raises(PreconditionError, match="CONCRETE"):
             detect_fixed_point(run(cfg))
 
 
@@ -635,14 +653,27 @@ class TestGrowthRegimes:
 
     def test_concrete_norm_past_the_largest_float_stops_flagged_overflow(self):
         # delta 1e308 times a squared gain of 64: the first new norm is inf,
-        # and no string of that length is built.
+        # and no string of that length is built. The ABSTRACT run takes the
+        # segment path to the same stop.
+        for mode, symbols in ((Mode.CONCRETE, ""), (Mode.ABSTRACT, None)):
+            cfg = RunConfig(
+                channel=ChannelSpec(psi_kind=PsiKind.IDENTITY, noise_len=8, seed=0),
+                update=delta_monotone(1e308), measure=power_measure(2.0),
+                gamma=10.0, horizon=5, mode=mode)
+            traj = run(cfg)
+            assert traj.steps == 1 and traj.final_norm == math.inf
+            assert traj.events[-1] & EVENT_OVERFLOW and traj.final_symbols == symbols
+            assert_run_matches_step_loop(cfg)
+
+    def test_segment_norm_past_the_largest_float_stops_flagged_overflow(self):
+        # 8e307 a step: 8e307, 1.6e308, then inf on step 3, inside a segment.
         cfg = RunConfig(
             channel=ChannelSpec(psi_kind=PsiKind.IDENTITY, noise_len=8, seed=0),
-            update=delta_monotone(1e308), measure=power_measure(2.0),
-            gamma=10.0, horizon=5, mode=Mode.CONCRETE)
+            update=delta_monotone(1e307), measure=length_measure(),
+            gamma=10.0, horizon=50, mode=Mode.ABSTRACT)
         traj = run(cfg)
-        assert traj.steps == 1 and traj.final_norm == math.inf
-        assert traj.events[-1] & EVENT_OVERFLOW and traj.final_symbols == ""
+        assert traj.steps == 3 and traj.final_norm == math.inf
+        assert traj.events[-1] & EVENT_OVERFLOW
         assert_run_matches_step_loop(cfg)
 
     def test_concrete_context_past_max_symbols_stops_flagged_overflow(self):

@@ -10,12 +10,9 @@ from loopsim.channel import ChannelSpec, PsiKind, constant_mask, power_law_mask
 from loopsim.engine import (
     EVENT_CROSSED_GAMMA,
     Mode,
-    NoCrossingError,
     PreconditionError,
     PrototypeMode,
-    RuleMismatchError,
     RunConfig,
-    BracketError,
     burst_stats,
     delta_monotone,
     divergence_time_bound,
@@ -57,7 +54,7 @@ class TestVerifyDrift:
 
     def test_no_crossing(self):
         traj = gated_run(0.0, 10.0, 0, 10, 1.0, horizon=50)
-        with pytest.raises(NoCrossingError):
+        with pytest.raises(PreconditionError, match="never exceeded"):
             verify_drift(traj, delta=1.0, gamma=10.0)
 
     def test_unmasked_bound_reduces_to_delta_gamma(self):
@@ -125,9 +122,9 @@ class TestGammaStar:
         assert abs(a.value - b.value) <= a.resolution
 
     def test_invalid_bracket(self):
-        with pytest.raises(BracketError):
+        with pytest.raises(ValueError, match="0 < lo < hi"):
             estimate_gamma_star(self.CHANNEL, 10.0, 10.0)
-        with pytest.raises(BracketError):
+        with pytest.raises(ValueError, match="0 < lo < hi"):
             estimate_gamma_star(self.CHANNEL, -1.0, 10.0)
 
 
@@ -169,7 +166,7 @@ class TestBurstStats:
         return run(cfg)
 
     def test_burst_census(self):
-        report = burst_stats(self.make_windowed(), window=100)
+        report = burst_stats(self.make_windowed())
         assert report.bursts >= 100
         assert report.max_norm == 100.0
         assert report.max_norm_ok
@@ -183,13 +180,13 @@ class TestBurstStats:
                         update=windowed(window=10**9, delta=1.0),
                         measure=length_measure(), gamma=10.0, horizon=1_000,
                         mode=Mode.ABSTRACT, initial_norm=11.0)
-        report = burst_stats(run(cfg), window=10**9)
+        report = burst_stats(run(cfg))
         assert report.bursts == 0
 
     def test_rule_mismatch(self):
         traj = gated_run(11.0, 10.0, 0, 10, 1.0, horizon=10)
-        with pytest.raises(RuleMismatchError):
-            burst_stats(traj, window=100)
+        with pytest.raises(PreconditionError, match="window cap"):
+            burst_stats(traj)
 
     def test_norm_never_exceeds_window(self):
         traj = self.make_windowed(horizon=5_000)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from loopsim.engine import PreconditionError
 from loopsim.swarm import (
     GainMode,
     Schedule,
@@ -84,7 +85,7 @@ class TestRunSwarm:
     def test_horizon_one(self):
         traj = run_swarm(uniform_spec(), horizon=1, seed=0)
         assert traj.delta.shape == (2, 1)
-        assert traj.solo_delta.shape == (1,)
+        assert traj.active.shape == (2, 1)
 
     def test_equality_case_holds_every_step(self):
         spec = uniform_spec()
@@ -129,7 +130,7 @@ class TestRunSwarm:
 class TestCollectiveGain:
     def test_sync_equality_bounds(self):
         spec = uniform_spec()
-        report = check_collective_gain(run_swarm(spec, 1_000, seed=1), spec)
+        report = check_collective_gain(run_swarm(spec, 1_000, seed=1))
         assert report.passed
         for check in report.per_agent:
             assert check.bound == 12.0
@@ -139,7 +140,7 @@ class TestCollectiveGain:
 
     def test_async_bounds_scale_by_rate(self):
         spec = uniform_spec(schedule=Schedule.BERNOULLI_ASYNC, lam=0.5)
-        report = check_collective_gain(run_swarm(spec, 10_000, seed=2), spec)
+        report = check_collective_gain(run_swarm(spec, 10_000, seed=2))
         assert report.passed
         assert report.per_agent[0].bound == 6.0
         assert report.collective_bound == 12.0
@@ -148,7 +149,7 @@ class TestCollectiveGain:
         beta = np.array([[0.0, 0.2], [0.6, 0.0]])
         spec = SwarmSpec(k=2, beta=beta, lam=np.ones(2), base_gain=4.0,
                          delta=1.0, gamma=100.0)
-        report = check_collective_gain(run_swarm(spec, 100, seed=3), spec)
+        report = check_collective_gain(run_swarm(spec, 100, seed=3))
         assert not report.uniform
         assert report.bonus_factor == pytest.approx(0.4)
         assert report.per_agent[0].bound == pytest.approx(1.4 * 2 * 4.0)
@@ -251,8 +252,8 @@ class TestOverflow:
         assert not np.isfinite(traj.norm[:, -1]).all()
         assert report.rho == 3.0 and report.growth_ok
         assert report.slope == pytest.approx(math.log(3.0), abs=1e-9)
-        with pytest.raises(ValueError, match="tick 645"):
-            check_collective_gain(traj, spec)
+        with pytest.raises(PreconditionError, match="tick 645"):
+            check_collective_gain(traj)
 
     def test_static_overflow_stops_flagged(self):
         spec = uniform_spec(base=1e306)
@@ -264,12 +265,19 @@ class TestOverflow:
         assert np.isfinite(traj.norm[:, :-1]).all()
 
 
+def solo_crossing(spec, horizon, level):
+    """The step an isolated agent, adding delta * base_gain each tick, first
+    passes ``level``."""
+    solo = np.cumsum(np.full(horizon, spec.delta * spec.base_gain))
+    return int(np.nonzero(solo > level)[0][0]) + 1
+
+
 class TestThresholdRescaling:
     def test_swarm_crosses_no_later_than_solo_sync(self):
         spec = uniform_spec(gamma=120.0)
         traj = run_swarm(spec, horizon=200, seed=1)
         t_swarm = traj.first_crossing(120.0)
-        t_solo = int(np.nonzero(np.cumsum(traj.solo_delta) > 120.0)[0][0]) + 1
+        t_solo = solo_crossing(spec, 200, 120.0)
         assert t_swarm is not None
         assert t_swarm <= t_solo
 
@@ -281,7 +289,7 @@ class TestThresholdRescaling:
                                 gamma=1_200.0)
             traj = run_swarm(spec, horizon=500, seed=seed)
             t_swarm = traj.first_crossing(1_200.0)
-            t_solo = int(np.nonzero(np.cumsum(traj.solo_delta) > 1_200.0)[0][0]) + 1
+            t_solo = solo_crossing(spec, 500, 1_200.0)
             assert t_swarm is not None and t_swarm <= t_solo
 
 
@@ -317,6 +325,13 @@ class TestValidation:
             uniform_spec(lam=0.0)
         with pytest.raises(ValueError):
             uniform_spec(lam=1.5)
+
+    @pytest.mark.parametrize("field,reason", [
+        ("base", "base_gain"), ("delta", "delta"), ("gamma", "gamma"), ("lam", "activity"),
+        ("beta", "beta entries")])
+    def test_a_nan_parameter_is_refused(self, field, reason):
+        with pytest.raises(ValueError, match=reason):
+            uniform_spec(**{field: math.nan})
 
     def test_single_agent_rejected(self):
         with pytest.raises(ValueError):
