@@ -1,6 +1,7 @@
 """Text columns for the CSV and SVG writers, formatted a column at a time."""
 
-from typing import Iterable, Iterator, TextIO
+import functools
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -22,11 +23,41 @@ def column_blocks(floats: list[np.ndarray], spec: str) -> Iterator[tuple[int, li
         yield lo, [format_column(col[lo:lo + BLOCK_ROWS], spec) for col in floats]
 
 
-def write_csv(out: TextIO, header: str, floats: list[np.ndarray], last: Iterable[str]) -> None:
-    """The header, then per row t: t, each float column at .12g, then last[t]."""
+@functools.lru_cache(maxsize=64)  # about 0.6 MB at six-digit row numbers
+def _row_template(lo: int, n: int) -> str:
+    """"{t},%s\n" for the n rows from row lo."""
+    return "".join(f"{t},%s\n" for t in range(lo, lo + n))
+
+
+def write_csv(out: TextIO, header: str, floats: list[np.ndarray],
+              codes: np.ndarray, texts) -> None:
+    """The header, then per row t: t, each float column at .12g, then
+    texts[codes[t]]. A column that holds one value (one bit pattern) over a
+    block is formatted once into the block's row template."""
     out.write(header + "\n")
-    last = iter(last)
-    for lo, block in column_blocks(floats, ".12g"):
-        # zip stops at the row numbers before it takes from `last`.
-        lines = zip(map(str, range(lo, lo + len(block[0]))), *block, last)
-        out.write("\n".join(map(",".join, lines)) + "\n")
+    texts = np.asarray(texts, dtype=object)
+    for lo in range(0, len(codes), BLOCK_ROWS):
+        cells, varying = [], []
+        for col in floats:
+            block = col[lo:lo + BLOCK_ROWS]
+            bits = block.view(np.uint64)
+            if bits.min() == bits.max():
+                cells.append(format(float(block[0]), ".12g"))
+            else:
+                cells.append(None)
+                varying.append(format_column(block, ".12g"))
+        block = codes[lo:lo + BLOCK_ROWS]
+        if block.min() == block.max():
+            cells.append(texts[block[0]])
+        else:
+            cells.append(None)
+            varying.append(texts[block].tolist())
+        template = _row_template(lo, len(block))
+        if not varying:
+            out.write(template.replace("%s", ",".join(cells)))
+        else:
+            row = ",".join("%s" if c is None else c.replace("%", "%%") for c in cells)
+            flat = [None] * (len(block) * len(varying))  # row-major, filled a column at a time
+            for i, column in enumerate(varying):
+                flat[i::len(varying)] = column
+            out.write(template.replace("%s", row) % tuple(flat))

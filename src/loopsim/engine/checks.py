@@ -53,6 +53,10 @@ def verify_drift(traj: Trajectory, delta: float, gamma: float,
     errors of the observed increments. A run flagged OVERFLOW is judged on
     the steps before ``overflow_step``, its last.
     """
+    floor = delta * gamma
+    mean_bound = delta * (1.0 - eps) * gamma
+    if not (math.isfinite(floor) and math.isfinite(mean_bound)):
+        raise PreconditionError(f"drift floor delta * gamma = {floor!r} is not finite")
     overflow_step = traj.steps - 1 if traj.events[-1] & EVENT_OVERFLOW else None
     end = traj.steps if overflow_step is None else overflow_step
     t0 = traj.first_crossing(gamma)
@@ -63,7 +67,6 @@ def verify_drift(traj: Trajectory, delta: float, gamma: float,
     masked = (events & EVENT_MASKED) != 0
     frozen = (events & EVENT_BUDGET_FROZEN) != 0
 
-    floor = delta * gamma
     margins = deltas[~(masked | frozen)] - floor
     per_step_ok = not (margins < 0.0).any()
     min_margin = float(margins.min()) if len(margins) else math.inf
@@ -72,11 +75,11 @@ def verify_drift(traj: Trajectory, delta: float, gamma: float,
         cumulative_ok = per_step_ok
     else:
         k = np.arange(len(norms) - t0)
-        cumulative_ok = bool(np.all(norms[t0:] >= norms[t0] + k * floor))
+        with np.errstate(over="ignore"):  # a bound past the largest float is not met
+            cumulative_ok = bool(np.all(norms[t0:] >= norms[t0] + k * floor))
 
     usable = deltas[~frozen]
     mean_drift = float(usable.mean()) if len(usable) else 0.0
-    mean_bound = delta * (1.0 - eps) * gamma
     mean_ok = mean_drift >= mean_bound - five_se(usable)
 
     return DriftReport(
@@ -185,7 +188,7 @@ def divergence_time_bound(t_star: int, norm_at_star: float, target: float,
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    if delta <= 0.0 or gamma <= 0.0:
+    if not (delta > 0.0 and gamma > 0.0):
         raise ValueError("delta and gamma must be positive")
     if target <= norm_at_star:
         raise ValueError("target must exceed the norm at the crossing step")
@@ -268,7 +271,7 @@ def epsilon_star(delta: float, gamma: float, omega_sup: float) -> float:
     1 - delta * gamma / (2 * omega_sup), clamped at zero (with a warning)
     when the drift term already dominates the gain ceiling.
     """
-    if delta <= 0.0 or gamma <= 0.0 or omega_sup <= 0.0:
+    if not (delta > 0.0 and gamma > 0.0 and omega_sup > 0.0):
         raise ValueError("delta, gamma and omega_sup must be positive")
     value = 1.0 - (delta * gamma) / (2.0 * omega_sup)
     if value < 0.0:

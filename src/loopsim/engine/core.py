@@ -92,8 +92,8 @@ class UpdateRuleSpec:
 
     def __post_init__(self) -> None:
         if self.kind in (UpdateKind.DELTA_MONOTONE, UpdateKind.WINDOWED):
-            if not self.delta > 0.0:
-                raise ValueError("delta must be positive")
+            if not 0.0 < self.delta < math.inf:
+                raise ValueError("delta must be positive and finite")
             if not self.gain_scale > 0.0:
                 raise ValueError("gain_scale must be positive")
         if self.kind is UpdateKind.WINDOWED:
@@ -138,7 +138,7 @@ class ContextState:
     symbols: str = ""
 
     def __post_init__(self) -> None:
-        if self.norm < 0.0:
+        if not self.norm >= 0.0:
             raise ValueError("norm must be nonnegative")
         if self.mode is Mode.ABSTRACT and self.symbols:
             raise ValueError("ABSTRACT contexts carry no symbols")
@@ -267,7 +267,7 @@ class Trajectory:
     def write_csv(self, out: TextIO) -> None:
         write_csv(out, CSV_HEADER,
                   [self.norm, self.omega, self.delta, self.epsilon_t, self.flops],
-                  _EVENT_TEXT[self.events].tolist())
+                  self.events, _EVENT_TEXT)
 
 
 def _increment(rule: UpdateRuleSpec):

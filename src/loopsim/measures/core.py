@@ -246,7 +246,7 @@ def combine_measures(
 
     The combined Lipschitz bound is alpha*L1 + beta*L2 when both are known.
     """
-    if alpha <= 0.0 or beta <= 0.0:
+    if not (alpha > 0.0 and beta > 0.0):
         raise ValueError("combination coefficients must be positive")
     bound = None
     if spec1.lipschitz_bound is not None and spec2.lipschitz_bound is not None:

@@ -127,11 +127,11 @@ class SwarmTrajectory:
         delta = self.delta[agent]
         write_csv(out, "t,norm,omega,delta,active",
                   [self.norm[agent, :-1], delta / self.spec.delta, delta],
-                  map(str, self.active[agent].astype(int).tolist()))
+                  self.active[agent].astype(np.uint8), ("0", "1"))
 
     def write_collective_csv(self, out) -> None:
         write_csv(out, "t,sum_delta,active_count", [self.collective],
-                  map(str, self.active.sum(axis=0).tolist()))
+                  self.active.sum(axis=0), [str(n) for n in range(self.spec.k + 1)])
 
 
 def run_swarm(spec: SwarmSpec, horizon: int, seed: int = 0) -> SwarmTrajectory:

@@ -336,6 +336,14 @@ class TestCheckTables:
         verdict, = summary["runs"][0]["checks"]
         assert verdict["status"] == "FAIL" and verdict["detail"]["error"]
 
+    def test_a_drift_floor_past_the_largest_float_fails_naming_it(self, tmp_path):
+        # delta * gamma = 1e308 * 10 overflows; the check itself must not warn.
+        text = MINIMAL.replace("delta = 1.0", "delta = 1e308")
+        summary = run_scenario(parse_scenarios(text)[0], tmp_path)
+        verdict, = summary["runs"][0]["checks"]
+        assert verdict["status"] == "FAIL"
+        assert verdict["detail"]["error"] == "drift floor delta * gamma = inf is not finite"
+
     @pytest.mark.parametrize("gain_scale,gap_bound", [("0.5", 18), ("2.0", 5)])
     def test_bursts_gap_bound_reads_gain_scale(self, tmp_path, gain_scale, gap_bound):
         base = [s for s in builtin_scenarios() if s.name == "bursts"][0]
@@ -718,8 +726,9 @@ class TestCliVerbs:
         ("psi_kind = GATED\ngamma_true = nan\n", "gamma_true must be a number"),
         ("temperature = nan\n", "temperature must be nonnegative"),
         ("update_kind = DELTA_MONOTONE\ndelta = nan\n", "delta must be positive"),
+        ("update_kind = DELTA_MONOTONE\ndelta = inf\n", "delta must be positive and finite"),
     ], ids=["beta_pow_nan", "abstract_symbols", "concrete_norm_without_symbols",
-            "gamma_nan", "gamma_true_nan", "temperature_nan", "delta_nan"])
+            "gamma_nan", "gamma_true_nan", "temperature_nan", "delta_nan", "delta_inf"])
     def test_an_invalid_measure_or_start_exits_two_naming_it(self, tmp_path, lines, reason):
         config = tmp_path / "bad.ini"
         config.write_text("[meta]\nschema = 1\n\n[scenario:tiny]\nkind = run\n"

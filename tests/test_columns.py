@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from loopsim.channel import ChannelSpec, PsiKind, constant_mask, power_law_mask
 from loopsim.cli.plots import HEIGHT, MARGIN, WIDTH, svg_line_plot
-from loopsim.columns import BLOCK_ROWS, format_column
+from loopsim.columns import BLOCK_ROWS, format_column, write_csv
 from loopsim.engine import (
     BudgetGate,
     Mode,
@@ -176,6 +176,82 @@ def test_swarm_csvs_match_reference(traj):
         assert (written(traj.write_agent_csv, agent)
                 == reference_agent_csv(traj, agent))
     assert written(traj.write_collective_csv) == reference_collective_csv(traj)
+
+
+# -- any columns, block by block ---------------------------------------------
+
+# Bit patterns: both zeros, two NaN payloads, a negative NaN, both infinities,
+# the smallest subnormal and a few finite floats.
+FLOAT_BITS = np.array([0.0, -0.0, math.nan, math.nan, -math.nan, math.inf, -math.inf,
+                       5e-324, 1.0 / 3.0, 31.0, -2.5]).view(np.uint64)
+FLOAT_BITS[3] |= 1
+EVENT_CODES = np.arange(64, dtype=np.uint16)
+CSV_LENGTHS = st.integers(0, 2 * BLOCK_ROWS + 52)
+
+
+def drawn_column(data, rng, n, pool):
+    """n entries of 1-3 values from the pool: one value throughout, one value
+    but a single row at either edge of some block, or a mix."""
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=3, unique=True))
+    values = pool[picks]
+    column = np.full(n, values[0], dtype=pool.dtype)
+    shape = data.draw(st.sampled_from(("one", "first", "last", "mixed")))
+    if n and len(values) > 1 and shape == "mixed":
+        column = values[rng.integers(len(values), size=n)]
+    elif n and len(values) > 1 and shape != "one":
+        lo = BLOCK_ROWS * data.draw(st.integers(0, (n - 1) // BLOCK_ROWS))
+        column[lo if shape == "first" else min(n, lo + BLOCK_ROWS) - 1] = values[1]
+    return column
+
+
+def drawn_floats(data, rng, n):
+    return drawn_column(data, rng, n, FLOAT_BITS).view(np.float64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(CSV_LENGTHS, st.integers(0, 2**32 - 1), st.data())
+def test_run_csv_matches_reference_on_any_columns(n, seed, data):
+    rng = np.random.default_rng(seed)
+    cfg = RunConfig(channel=ChannelSpec(mask_rate=constant_mask(0.0)),
+                    update=windowed(4), horizon=1)
+    traj = Trajectory(config=cfg, norms=drawn_floats(data, rng, n + 1),
+                      omega=drawn_floats(data, rng, n), delta=drawn_floats(data, rng, n),
+                      epsilon_t=drawn_floats(data, rng, n), flops=drawn_floats(data, rng, n),
+                      events=drawn_column(data, rng, n, EVENT_CODES))
+    assert written(traj.write_csv) == reference_run_csv(traj)
+
+
+@settings(max_examples=40, deadline=None)
+@given(CSV_LENGTHS, st.integers(0, 2**32 - 1), st.data())
+def test_swarm_csvs_match_reference_on_any_columns(n, seed, data):
+    rng = np.random.default_rng(seed)
+    spec = _spec()
+    traj = SwarmTrajectory(
+        spec=spec, seed=0,
+        norm=np.array([drawn_floats(data, rng, n + 1) for _ in range(spec.k)]).reshape(spec.k, n + 1),
+        delta=np.array([drawn_floats(data, rng, n) for _ in range(spec.k)]).reshape(spec.k, n),
+        active=np.array([drawn_column(data, rng, n, np.array([False, True]))
+                         for _ in range(spec.k)]).reshape(spec.k, n))
+    for agent in range(spec.k):
+        assert (written(traj.write_agent_csv, agent)
+                == reference_agent_csv(traj, agent))
+    with np.errstate(invalid="ignore"):  # inf + -inf in the collective sum
+        assert written(traj.write_collective_csv) == reference_collective_csv(traj)
+
+
+@settings(max_examples=80, deadline=None)
+@given(CSV_LENGTHS, st.integers(0, 2**32 - 1), st.data())
+def test_csv_text_table_may_hold_percent_signs(n, seed, data):
+    # A constant text is folded into a %-template, a varying one is a % argument.
+    rng = np.random.default_rng(seed)
+    names = ("%", "%s", "%%", "a%sb%d", "ok")
+    columns = [drawn_floats(data, rng, n) for _ in range(data.draw(st.integers(1, 2)))]
+    codes = drawn_column(data, rng, n, np.arange(len(names)))
+    out = io.StringIO()
+    write_csv(out, "t,x,name", columns, codes, names)
+    assert out.getvalue() == "t,x,name\n" + "".join(
+        f"{t}," + "".join(f"{col[t]:.12g}," for col in columns) + f"{names[codes[t]]}\n"
+        for t in range(n))
 
 
 # -- SVG ---------------------------------------------------------------------

@@ -38,6 +38,8 @@ from loopsim.engine import (
     UpdateRuleSpec,
     delta_monotone,
     detect_fixed_point,
+    divergence_time_bound,
+    epsilon_star,
     event_names,
     run,
     step,
@@ -379,6 +381,23 @@ class TestRun:
         # Every comparison with NaN is false, so each check is written to fail on it.
         with pytest.raises(ValueError, match=reason):
             build(math.nan)
+
+    @pytest.mark.parametrize("build,reason", [
+        (lambda nan: epsilon_star(nan, 1.0, 1.0), "delta, gamma and omega_sup must be positive"),
+        (lambda nan: divergence_time_bound(0, 11.0, 100.0, nan, 0.0, 10.0),
+         "delta and gamma must be positive"),
+        (lambda nan: combine_measures(nan, length_measure(), 1.0, length_measure()),
+         "combination coefficients must be positive"),
+        (lambda nan: ContextState(norm=nan), "norm must be nonnegative"),
+    ], ids=["epsilon_star", "divergence_time_bound", "combine_measures", "context_state"])
+    def test_a_nan_argument_to_a_library_helper_is_refused(self, build, reason):
+        with pytest.raises(ValueError, match=reason):
+            build(math.nan)
+
+    @pytest.mark.parametrize("kind", [UpdateKind.DELTA_MONOTONE, UpdateKind.WINDOWED])
+    def test_an_infinite_delta_is_refused(self, kind):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            UpdateRuleSpec(kind, delta=math.inf, window=4)
 
     @pytest.mark.parametrize("mode,norm,symbols", [
         (Mode.ABSTRACT, 4.0, "0101"), (Mode.CONCRETE, 7.0, ""),

@@ -5,7 +5,8 @@ seed, so their JSON text must not move when the code under them is
 refactored. `conjecture` is left out: its `np.polyfit` floats depend on the
 BLAS build. The run-level fields of every builtin run summary entry (steps,
 final norm, crossing step and total flops, none of which a CSV holds) are
-pinned value by value, and the SVG plots of the builtin set by one digest.
+pinned value by value, and the CSVs and SVG plots of the builtin set by one
+digest each.
 """
 
 import dataclasses
@@ -94,3 +95,19 @@ def test_builtin_svg_plots_are_pinned(tmp_path):
         digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0" + path.read_bytes())
     assert len(paths) == 20
     assert digest.hexdigest() == BUILTIN_SVG_DIGEST
+
+
+# SHA-256 over the sorted relative names and bytes of every CSV that
+# `loopsim run builtin` writes (the default outputs, csv,json).
+BUILTIN_CSV_DIGEST = "57981fc9f6bfc7363f19a7cf38615ddffacce272dd6730d9ce7217d96cd35829"
+
+
+def test_builtin_csvs_are_pinned(tmp_path):
+    for scenario in builtin_scenarios():
+        run_scenario(scenario, tmp_path)
+    digest = hashlib.sha256()
+    paths = sorted(tmp_path.rglob("*.csv"))
+    for path in paths:
+        digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0" + path.read_bytes())
+    assert len(paths) == 28
+    assert digest.hexdigest() == BUILTIN_CSV_DIGEST
