@@ -254,6 +254,17 @@ def test_csv_text_table_may_hold_percent_signs(n, seed, data):
         for t in range(n))
 
 
+@pytest.mark.parametrize("row", [0, BLOCK_ROWS - 1])
+def test_a_block_of_zeros_keeps_its_negative_zero(row):
+    # 0.0 == -0.0, so a block is judged constant on its bit patterns.
+    column = np.zeros(BLOCK_ROWS + 1)
+    column[row] = -0.0
+    out = io.StringIO()
+    write_csv(out, "t,x,e", [column], np.zeros(len(column), np.uint8), ("0",))
+    assert out.getvalue() == "t,x,e\n" + "".join(
+        f"{t},{x:.12g},0\n" for t, x in enumerate(column))
+
+
 # -- SVG ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("series,threshold", [
