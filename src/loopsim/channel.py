@@ -70,6 +70,11 @@ class EpsilonSchedule:
             self.kind is ScheduleKind.CONSTANT or self.kappa == 0.0
         )
 
+    @property
+    def entry_rate(self) -> float:
+        """The rate at t = 1, where every schedule starts."""
+        return epsilon_at(1, self)
+
 
 def constant_mask(eps0: float = 0.0) -> EpsilonSchedule:
     return EpsilonSchedule(eps0=eps0)
@@ -348,7 +353,7 @@ def estimate_collision_rate(spec: ChannelSpec, c, trials: int, seed: int = 0) ->
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    eps = epsilon_at(1, spec.mask_rate)
+    eps = spec.mask_rate.entry_rate
     n = spec.noise_len if spec.temperature > 0.0 else 0  # 2n noise bits in n words
     length = psi_output_length(spec, c.norm, 0)
     compare = 0 if spec.psi_kind is PsiKind.CONSTANT else min(length, n)

@@ -35,7 +35,7 @@ from ..measures import (
     length_measure,
     power_measure,
 )
-from ..swarm import GainMode, SwarmSpec
+from ..swarm import GainMode, SwarmSpec, check_horizon
 
 SCHEMA_VERSION = 1
 
@@ -46,7 +46,7 @@ VALID_OUTPUTS = ("csv", "json", "svg")
 _CHANNEL = ("psi_kind", "temperature", "noise_len", "seed", "const_meaning",
             "gamma_true", "gain_lo", "gain_hi", "decay_len", "decay_power")
 _MASK = ("eps0", "kappa", "alpha_decay", "mask_kind")
-_UPDATE = ("update_kind", "delta", "gain_scale", "h_kind", "window", "drop_to")
+_UPDATE = ("update_kind", "delta", "h_kind", "window", "drop_to")
 _COST = ("alpha_attn", "alpha_ffn", "cost_variant", "rank", "alpha_attn_r",
          "log_coeff")
 _BUDGET = ("max_flops", "max_norm")
@@ -274,7 +274,13 @@ def _validate(scenario: Scenario) -> None:
                 raise ScenarioValidationError(
                     f"scenario {scenario.name!r}: check {check!r} holds for STATIC "
                     "gains only, not a RELAY swarm")
-        runner_fields(scenario, kind.fields, overrides)
+        fields = runner_fields(scenario, kind.fields, overrides)
+        if isinstance(spec, SwarmSpec):
+            try:
+                check_horizon(spec, fields["horizon"])
+            except ValueError as exc:
+                raise ScenarioValidationError(
+                    f"scenario {scenario.name!r}, field 'horizon': {exc}") from exc
 
 
 def _scenario_from_section(name: str, options: dict[str, str]) -> Scenario:

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..channel import PsiKind, epsilon_at
+from ..channel import PsiKind
 from ..cost import CostVariant, cumulative_compute
 from ..engine import (
     PrototypeMode,
@@ -34,7 +34,7 @@ from ..engine import (
     verify_bounded,
     verify_drift,
 )
-from ..engine.checks import sublinear_growth_report
+from ..engine.checks import crossing_step, drift_bounds, sublinear_growth_report
 from ..measures import (
     audit_lz_dictionary_reuse,
     audit_measure,
@@ -103,12 +103,6 @@ def _status(passed) -> str:
     return PASS if passed else FAIL
 
 
-def _delta_eps(cfg) -> tuple[float, float]:
-    """The drift per step above the gate and the mask rate at t = 1."""
-    eps = 0.0 if cfg.channel.mask_rate.is_zero else epsilon_at(1, cfg.channel.mask_rate)
-    return cfg.update.scale, eps
-
-
 def _verdicts(table, names, *args) -> list[dict]:
     """The verdicts of the checks `names` of `table`, each given `args`.
 
@@ -126,36 +120,36 @@ def _verdicts(table, names, *args) -> list[dict]:
     return verdicts
 
 
-# Run checks: each takes the trajectory, its config and the scenario's runner
-# fields, and returns a status and the verdict's detail.
+# Run checks: each takes the trajectory, which carries its config, and the
+# scenario's runner fields, and returns a status and the verdict's detail.
 
-def _drift(traj, cfg, fields):
-    delta, eps = _delta_eps(cfg)
-    report = verify_drift(traj, delta, cfg.gamma, eps)
+def _drift(traj, fields):
+    report = verify_drift(traj)
     overflow = {} if report.overflow_step is None else {"overflow_step": report.overflow_step}
     return _status(report.passed), dict(
         t0=report.t0, min_margin=report.min_margin,
         mean_drift=report.mean_drift, mean_bound=report.mean_bound, **overflow)
 
 
-def _bounded(traj, cfg, fields):
-    report = verify_bounded(traj, cfg.gamma)
-    return _status(report.passed), dict(max_norm=report.max_norm, gamma=cfg.gamma)
+def _bounded(traj, fields):
+    report = verify_bounded(traj)
+    return _status(report.passed), dict(max_norm=report.max_norm, gamma=traj.config.gamma)
 
 
-def _bursts(traj, cfg, fields):
+def _bursts(traj, fields):
     report = burst_stats(traj)
     return _status(report.passed and report.bursts > 0), dict(
         bursts=report.bursts, max_norm=report.max_norm, gap_bound=report.gap_bound)
 
 
-def _fixed_point(traj, cfg, fields):
+def _fixed_point(traj, fields):
     step = detect_fixed_point(traj)
     return INFO, dict(fixed_point_step=step,
                       classification="CONVERGED" if step is not None else "DIVERGENT")
 
 
-def _cost_slope(traj, cfg, fields):
+def _cost_slope(traj, fields):
+    cfg = traj.config
     window = (100, min(cfg.horizon, 10_000))
     full = cumulative_compute(traj, cfg.cost_model, window)
     low_rank = dataclasses.replace(cfg.cost_model, variant=CostVariant.LOW_RANK,
@@ -165,21 +159,18 @@ def _cost_slope(traj, cfg, fields):
     return _status(ok), dict(full_slope=full.slope, low_rank_slope=low.slope)
 
 
-def _time_bound(traj, cfg, fields):
+def _time_bound(traj, fields):
     target = fields["bound_target"]
-    t_star = traj.first_crossing(cfg.gamma)
-    if t_star is None:
-        return FAIL, {"error": "no crossing"}
-    delta, eps = _delta_eps(cfg)
-    bound = divergence_time_bound(
-        t_star, float(traj.norms[t_star]), target, delta, eps, cfg.gamma)
+    t_star = crossing_step(traj)
+    _, drift = drift_bounds(traj.config)
+    bound = divergence_time_bound(t_star, float(traj.norms[t_star]), target, drift)
     reached = np.nonzero(traj.norms >= target)[0]
     observed = int(reached[0]) if len(reached) else None
     ok = observed is not None and observed <= bound
     return _status(ok), dict(t_star=t_star, bound=bound, observed=observed)
 
 
-def _sublinear_growth(traj, cfg, fields):
+def _sublinear_growth(traj, fields):
     return INFO, sublinear_growth_report(traj, max(1, traj.steps // 10), traj.steps)
 
 
@@ -222,7 +213,7 @@ def _execute_run_job(scenario, label, overrides, seed, outdir):
         "final_norm": traj.final_norm,
         "crossing_step": traj.first_crossing(cfg.gamma),
         "total_flops": traj.total_flops,
-        "checks": _verdicts(RUN_CHECKS, scenario.checks, traj, cfg, fields),
+        "checks": _verdicts(RUN_CHECKS, scenario.checks, traj, fields),
     }
     for verdict in entry["checks"]:
         if "classification" in verdict["detail"]:

@@ -20,9 +20,29 @@ from .core import (
     EVENT_MASKED,
     EVENT_OVERFLOW,
     PreconditionError,
+    RunConfig,
     Trajectory,
     UpdateKind,
 )
+
+
+def drift_bounds(cfg: RunConfig) -> tuple[float, float]:
+    """What a step above gamma adds: at least the floor delta * gamma unless
+    masked or frozen, and delta * (1 - eps) * gamma in the mean, eps the mask
+    rate at t = 1. A floor that is not finite is refused; the mean is no larger."""
+    delta, gamma, eps = cfg.update.delta, cfg.gamma, cfg.channel.mask_rate.entry_rate
+    floor = delta * gamma
+    if not math.isfinite(floor):
+        raise PreconditionError(f"drift floor delta * gamma = {floor!r} is not finite")
+    return floor, delta * (1.0 - eps) * gamma
+
+
+def crossing_step(traj: Trajectory, end: float = math.inf) -> int:
+    """The first state index above the run's gamma, refused past ``end``."""
+    t0 = traj.first_crossing(traj.config.gamma)
+    if t0 is None or t0 > end:
+        raise PreconditionError(f"norm never exceeded {traj.config.gamma!r}")
+    return t0
 
 
 @dataclass(frozen=True)
@@ -41,27 +61,21 @@ class DriftReport:
         return self.per_step_ok and self.cumulative_ok and self.mean_ok
 
 
-def verify_drift(traj: Trajectory, delta: float, gamma: float,
-                 eps: float = 0.0) -> DriftReport:
+def verify_drift(traj: Trajectory) -> DriftReport:
     """Check the post-crossing growth guarantees of a gated run.
 
     Per-step: every unmasked, unfrozen step at or after the first crossing
-    must add at least delta * gamma, with zero tolerance. Cumulative: the
-    norm k steps past the crossing must have grown by at least k * delta *
-    gamma (only meaningful when nothing was masked). Mean: the average
-    increment must reach delta * (1 - eps) * gamma within five standard
-    errors of the observed increments. A run flagged OVERFLOW is judged on
-    the steps before ``overflow_step``, its last.
+    must add at least the floor of `drift_bounds`, with zero tolerance.
+    Cumulative: the norm k steps past the crossing must have grown by at
+    least k floors (only meaningful when nothing was masked). Mean: the
+    average increment must reach the mean bound within five standard errors
+    of the observed increments. A run flagged OVERFLOW is judged on the
+    steps before ``overflow_step``, its last.
     """
-    floor = delta * gamma
-    mean_bound = delta * (1.0 - eps) * gamma
-    if not (math.isfinite(floor) and math.isfinite(mean_bound)):
-        raise PreconditionError(f"drift floor delta * gamma = {floor!r} is not finite")
+    floor, mean_bound = drift_bounds(traj.config)
     overflow_step = traj.steps - 1 if traj.events[-1] & EVENT_OVERFLOW else None
     end = traj.steps if overflow_step is None else overflow_step
-    t0 = traj.first_crossing(gamma)
-    if t0 is None or t0 > end:
-        raise PreconditionError(f"norm never exceeded {gamma!r}")
+    t0 = crossing_step(traj, end)
     norms = traj.norms[:end + 1]
     deltas, events = traj.delta[t0:end], traj.events[t0:end]
     masked = (events & EVENT_MASKED) != 0
@@ -113,12 +127,12 @@ class BoundedReport:
         return self.lyapunov_max == 0.0
 
 
-def verify_bounded(traj: Trajectory, gamma: float) -> BoundedReport:
-    """Check that a sub-threshold start never escapes the threshold.
+def verify_bounded(traj: Trajectory) -> BoundedReport:
+    """Check that a sub-threshold start never escapes the run's threshold.
 
     The Lyapunov candidate max(0, norm - gamma) must be identically zero.
     """
-    norms = traj.norms
+    norms, gamma = traj.norms, traj.config.gamma
     if norms[0] > gamma:
         raise PreconditionError(
             f"initial norm {float(norms[0])!r} exceeds the threshold {gamma!r}")
@@ -179,20 +193,17 @@ def estimate_gamma_star(
 
 
 def divergence_time_bound(t_star: int, norm_at_star: float, target: float,
-                          delta: float, eps: float, gamma: float) -> int:
+                          drift: float) -> int:
     """Latest step by which a gated run must cross the target level.
 
     t_star is the first index whose norm exceeds the threshold; from there
-    every step adds at least delta * (1 - eps) * gamma in expectation, so the
-    target is reached within ceil((target - norm) / that drift) more steps.
+    every step adds at least ``drift`` (`drift_bounds`' mean) in expectation,
+    so the target is reached within ceil((target - norm) / drift) more steps.
     """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
-    if not (delta > 0.0 and gamma > 0.0):
-        raise ValueError("delta and gamma must be positive")
+    if not drift > 0.0:
+        raise ValueError("drift must be positive")
     if target <= norm_at_star:
         raise ValueError("target must exceed the norm at the crossing step")
-    drift = delta * (1.0 - eps) * gamma
     return t_star + math.ceil((target - norm_at_star) / drift)
 
 
@@ -213,25 +224,26 @@ class BurstReport:
 def burst_stats(traj: Trajectory) -> BurstReport:
     """Burst census of a window-capped run, under the run's own window W.
 
-    A burst is a step that lifts the norm to exactly the cap from below. On
-    gated runs the gap between consecutive bursts must stay within
-    ceil((W - drop_to) / (delta * gain_scale * (1 - eps0) * gamma)).
+    A burst is a step that lifts the norm to exactly the cap from below. A
+    gap between consecutive bursts counts the steps that add to the norm,
+    neither MASKED nor BUDGET_FROZEN; on gated runs each of those adds at
+    least the floor of `drift_bounds`, so a gap must stay within
+    ceil((W - drop_to) / (delta * gamma)).
     """
     rule = traj.config.update
     if rule.kind is not UpdateKind.WINDOWED:
         raise PreconditionError("trajectory was not produced under a window cap")
 
     burst_steps = np.nonzero((traj.events & EVENT_BURST_HIT_W) != 0)[0]
-    gaps = tuple(int(g) for g in np.diff(burst_steps))
+    adding = np.cumsum((traj.events & (EVENT_MASKED | EVENT_BUDGET_FROZEN)) == 0)
+    gaps = tuple(int(g) for g in np.diff(adding[burst_steps]))
     max_norm = float(traj.norms.max())
 
     gap_bound = None
     gaps_ok = True
-    channel = traj.config.channel
-    if channel.psi_kind is PsiKind.GATED:
-        eps0 = channel.mask_rate.eps0
-        drift = rule.scale * (1.0 - eps0) * traj.config.gamma
-        gap_bound = math.ceil((rule.window - rule.drop_to) / drift)
+    if traj.config.channel.psi_kind is PsiKind.GATED:
+        floor, _ = drift_bounds(traj.config)
+        gap_bound = math.ceil((rule.window - rule.drop_to) / floor)
         gaps_ok = all(g <= gap_bound for g in gaps)
 
     return BurstReport(

@@ -71,13 +71,16 @@ class SublinearKind(str, Enum):
 # the run ends there flagged OVERFLOW: MIRROR + APPEND doubles them each step.
 MAX_SYMBOLS = 1 << 24
 
+# The most steps a run, or agent-ticks a swarm, may take: a run's columns
+# hold about 42 bytes a step, so this caps them near 2.8 GB.
+MAX_STEPS = 1 << 26
+
 
 @dataclass(frozen=True)
 class UpdateRuleSpec:
     """Context-update rule.
 
-    DELTA_MONOTONE grows the norm by scale * gain(m), where scale is
-    delta * gain_scale;
+    DELTA_MONOTONE grows the norm by delta * gain(m);
     WINDOWED does the same under a hard cap: a step that would reach
     ``window`` records exactly ``window``, and the context is truncated to
     ``drop_to`` at the start of the following step.
@@ -85,7 +88,6 @@ class UpdateRuleSpec:
 
     kind: UpdateKind = UpdateKind.APPEND
     delta: float = 1.0
-    gain_scale: float = 1.0
     h_kind: SublinearKind = SublinearKind.LOG1P
     window: int = 0
     drop_to: float = 0.0
@@ -94,22 +96,15 @@ class UpdateRuleSpec:
         if self.kind in (UpdateKind.DELTA_MONOTONE, UpdateKind.WINDOWED):
             if not 0.0 < self.delta < math.inf:
                 raise ValueError("delta must be positive and finite")
-            if not self.gain_scale > 0.0:
-                raise ValueError("gain_scale must be positive")
         if self.kind is UpdateKind.WINDOWED:
             if self.window < 1:
                 raise ValueError("window must be at least 1")
             if not 0.0 <= self.drop_to < self.window:
                 raise ValueError("drop_to must lie in [0, window)")
 
-    @property
-    def scale(self) -> float:
-        """What DELTA_MONOTONE and WINDOWED add per unit of gain."""
-        return self.delta * self.gain_scale
 
-
-def delta_monotone(delta: float, gain_scale: float = 1.0) -> UpdateRuleSpec:
-    return UpdateRuleSpec(UpdateKind.DELTA_MONOTONE, delta=delta, gain_scale=gain_scale)
+def delta_monotone(delta: float) -> UpdateRuleSpec:
+    return UpdateRuleSpec(UpdateKind.DELTA_MONOTONE, delta=delta)
 
 
 def windowed(window: int, delta: float = 1.0, drop_to: float = 0.0) -> UpdateRuleSpec:
@@ -162,6 +157,8 @@ class RunConfig:
             raise ValueError("gamma must be positive")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
+        if self.horizon > MAX_STEPS:
+            raise ValueError(f"horizon must be at most {MAX_STEPS}")
         if not 0.0 <= self.initial_norm < math.inf:
             raise ValueError("initial_norm must be nonnegative and finite")
         if self.mode is Mode.ABSTRACT and not self.measure.length_arithmetic:
@@ -279,8 +276,8 @@ def _increment(rule: UpdateRuleSpec):
     if rule.kind is UpdateKind.SUBLINEAR:
         h = math.sqrt if rule.h_kind is SublinearKind.SQRT else math.log1p
         return lambda mlen, omega: h(omega)
-    scale = rule.scale  # DELTA_MONOTONE or WINDOWED
-    return lambda mlen, omega: scale * omega
+    delta = rule.delta  # DELTA_MONOTONE or WINDOWED
+    return lambda mlen, omega: delta * omega
 
 
 def _budget_tripped(cfg: RunConfig, norm: float, cum_flops: float) -> bool:

@@ -20,7 +20,7 @@ import numpy as np
 from .channel import derive_seed
 from .columns import write_csv
 from .engine.checks import five_se
-from .engine.core import PreconditionError
+from .engine.core import MAX_STEPS, PreconditionError
 from .meanings import Meaning
 from .measures import declared_gain
 
@@ -134,11 +134,18 @@ class SwarmTrajectory:
                   self.active.sum(axis=0), [str(n) for n in range(self.spec.k + 1)])
 
 
+def check_horizon(spec: SwarmSpec, horizon: int) -> None:
+    """Refuse a horizon below one tick, or above `MAX_STEPS` agent-ticks."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if spec.k * horizon > MAX_STEPS:
+        raise ValueError(f"k * horizon must be at most {MAX_STEPS} agent-ticks")
+
+
 def run_swarm(spec: SwarmSpec, horizon: int, seed: int = 0) -> SwarmTrajectory:
     """Iterate the broadcast coupling. The run stops after the first tick
     whose norms are not finite, and names it as ``overflow_tick``."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    check_horizon(spec, horizon)
     k = spec.k
     active = activity_matrix(spec, horizon, seed)
     norm = np.zeros((k, horizon + 1))

@@ -73,7 +73,7 @@ def test_criterion_01_drift_exactness():
     start = time.perf_counter()
     cfg = gated_config(11.0, 10.0, 10.0, 0, 10, 0.5, horizon=10_000)
     traj = run(cfg)
-    drift = verify_drift(traj, delta=0.5, gamma=10.0)
+    drift = verify_drift(traj)
     k = np.arange(10_001)
     exact = bool(np.all(traj.norms >= 11.0 + 5.0 * k))
     elapsed = time.perf_counter() - start
@@ -88,7 +88,7 @@ def test_criterion_02_boundedness():
     for seed in range(100):
         cfg = gated_config(5.0, 10.0, 10.0, 0, 12, 1.0, horizon=100_000,
                            seed=seed)
-        bounded = verify_bounded(run(cfg), gamma=10.0)
+        bounded = verify_bounded(run(cfg))
         worst = max(worst, bounded.max_norm)
         if not bounded.passed:
             violations += 1
@@ -140,7 +140,7 @@ def test_criterion_05_masked_drift():
     for eps in (0.1, 0.5):
         cfg = gated_config(11.0, 10.0, 10.0, 0, 12, 1.0, horizon=10_000,
                            seed=17, eps=eps)
-        drift = verify_drift(run(cfg), delta=1.0, gamma=10.0, eps=eps)
+        drift = verify_drift(run(cfg))
         ok = ok and drift.mean_ok and drift.per_step_ok
         details.append(f"eps={eps}: mean {drift.mean_drift:.3f} "
                        f">= {drift.mean_bound:.1f} - 5se")
@@ -155,7 +155,7 @@ def test_criterion_06_collapse_threshold():
     for seed in range(100):
         cfg = gated_config(2.0, 4.0, 4.0, 0, 10, 0.5, horizon=100_000,
                            seed=seed, eps=0.95)
-        if not verify_bounded(run(cfg), gamma=4.0).passed:
+        if not verify_bounded(run(cfg)).passed:
             violations += 1
     ok = star == 0.9 and violations == 0
     report(6, ok, f"epsilon*={star}, violations {violations}/100")
@@ -173,7 +173,7 @@ def test_criterion_07_window_bursts():
 
 
 def test_criterion_08_finite_time_bound():
-    bound = divergence_time_bound(5, 12.0, 100.0, 1.0, 0.0, 10.0)
+    bound = divergence_time_bound(5, 12.0, 100.0, 10.0)
     violations = 0
     for seed in range(100):
         cfg = gated_config(2.0, 10.0, 10.0, 2, 10, 1.0, horizon=40, seed=seed)

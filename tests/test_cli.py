@@ -24,11 +24,13 @@ from loopsim.cli import (
     parse_scenarios,
     run_scenario,
 )
-from loopsim.cli.config import VALID_OUTPUTS, Scenario, build_run_config
+from loopsim.cli.config import VALID_OUTPUTS, Scenario, build_run_config, build_swarm_spec
 from loopsim.cli.main import main
 from loopsim.cli.runner import (AUDITS, KINDS, RUN_CHECKS, STATIC_ONLY, _atomic_write, _verdicts,
                                 json_text, run_audit)
 from loopsim.engine import run
+from loopsim.engine.core import MAX_STEPS
+from loopsim.swarm import run_swarm
 
 def strict_loads(text):
     """The JSON document ``text``, refusing NaN and Infinity."""
@@ -246,7 +248,7 @@ class TestArtifacts:
         assert traj.steps == 3_175 and traj.final_norm == float("inf")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            bounded, drift = _verdicts(RUN_CHECKS, ("bounded", "drift"), traj, cfg, {})
+            bounded, drift = _verdicts(RUN_CHECKS, ("bounded", "drift"), traj, {})
         assert bounded["status"] == "FAIL"
         assert drift["status"] == "PASS"
         assert drift["detail"]["overflow_step"] == 3_174
@@ -336,6 +338,14 @@ class TestCheckTables:
         verdict, = summary["runs"][0]["checks"]
         assert verdict["status"] == "FAIL" and verdict["detail"]["error"]
 
+    def test_time_bound_without_a_crossing_fails_as_drift_does(self, tmp_path):
+        text = (MINIMAL.replace("initial_norm = 11", "initial_norm = 0")
+                .replace("checks = drift", "checks = drift,time_bound"))
+        summary = run_scenario(parse_scenarios(text)[0], tmp_path)
+        drift, time_bound = summary["runs"][0]["checks"]
+        assert time_bound["status"] == "FAIL"
+        assert time_bound["detail"] == drift["detail"] == {"error": "norm never exceeded 10.0"}
+
     def test_a_drift_floor_past_the_largest_float_fails_naming_it(self, tmp_path):
         # delta * gamma = 1e308 * 10 overflows; the check itself must not warn.
         text = MINIMAL.replace("delta = 1.0", "delta = 1e308")
@@ -344,14 +354,22 @@ class TestCheckTables:
         assert verdict["status"] == "FAIL"
         assert verdict["detail"]["error"] == "drift floor delta * gamma = inf is not finite"
 
-    @pytest.mark.parametrize("gain_scale,gap_bound", [("0.5", 18), ("2.0", 5)])
-    def test_bursts_gap_bound_reads_gain_scale(self, tmp_path, gain_scale, gap_bound):
+    @pytest.mark.parametrize("fields,gap_bound", [
+        ({"delta": "0.5"}, 18),
+        ({"delta": "2.0"}, 5),
+        # A masked step adds nothing. Counted over the steps that add, a gap is
+        # at most ceil((100 - 11) / (delta * gamma)) = 9; raw gaps reach 14-17.
+        ({"eps0": "0.1"}, 9),
+        ({"mask_kind": "POWER_LAW", "eps0": "0.1", "kappa": "0.4", "alpha_decay": "0.5"}, 9),
+    ], ids=["0.5-18", "2.0-5", "masked-9", "power_law_masked-9"])
+    def test_bursts_gap_bound_reads_delta(self, tmp_path, fields, gap_bound):
         base = [s for s in builtin_scenarios() if s.name == "bursts"][0]
         scenario = dataclasses.replace(
-            base, fields=tuple(sorted({**dict(base.fields), "gain_scale": gain_scale}.items())),
-            outputs=("json",))
-        verdict, = run_scenario(scenario, tmp_path)["runs"][0]["checks"]
-        assert verdict["status"] == "PASS" and verdict["detail"]["gap_bound"] == gap_bound
+            base, fields=tuple(sorted({**dict(base.fields), **fields}.items())),
+            repeat=5, outputs=("json",))
+        for entry in run_scenario(scenario, tmp_path)["runs"]:
+            verdict, = entry["checks"]
+            assert verdict["status"] == "PASS" and verdict["detail"]["gap_bound"] == gap_bound
 
     def _relay(self, tmp_path, **fields):
         base = [s for s in builtin_scenarios() if s.name == "swarm_relay"][0]
@@ -717,6 +735,32 @@ class TestCliVerbs:
         assert "error: scenario 'tiny': " in result.output
         assert "initial_norm must be nonnegative and finite" in result.output
         assert not (tmp_path / "out").exists()
+
+    def test_a_run_past_max_steps_exits_two_naming_the_horizon(self, tmp_path):
+        # 1e10 steps of columns would be 74.5 GiB: refused by arithmetic, before any array.
+        config = tmp_path / "long.ini"
+        config.write_text(MINIMAL.replace("horizon = 50", "horizon = 10000000000"))
+        result = CliRunner().invoke(
+            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert f"scenario 'tiny': horizon must be at most {MAX_STEPS}" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_a_swarm_past_max_steps_exits_two_naming_the_horizon(self, tmp_path):
+        text = ("[meta]\nschema = 1\n\n[scenario:tiny]\nkind = swarm\n"
+                "beta = 0 0.5; 0.5 0\ngamma = 100\nhorizon = 10000000000\n")
+        config = tmp_path / "long.ini"
+        config.write_text(text)
+        result = CliRunner().invoke(
+            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert (f"scenario 'tiny', field 'horizon': k * horizon must be at most "
+                f"{MAX_STEPS} agent-ticks") in result.output
+        assert not (tmp_path / "out").exists()
+        # A library caller is refused the same way, by run_swarm itself.
+        spec = build_swarm_spec(parse_scenarios(text.replace("10000000000", "1"))[0])
+        with pytest.raises(ValueError, match="agent-ticks"):
+            run_swarm(spec, MAX_STEPS // 2 + 1)
 
     @pytest.mark.parametrize("lines,reason", [
         ("measure_kind = POWER_LAW\nbeta_pow = nan\n", "power-law exponent must exceed 1"),

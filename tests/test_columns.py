@@ -2,6 +2,8 @@
 
 import io
 import math
+import os
+from itertools import zip_longest
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -100,6 +102,21 @@ def reference_svg(series, threshold, title) -> str:
     return "\n".join(parts)
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """Exact equality of two texts. A failure names the first differing line
+    and shows both versions of it around the first differing character:
+    pytest's own diff of two long, nearly equal strings can take minutes."""
+    if got == want:
+        return
+    line, a, b = next((i, a, b) for i, (a, b) in enumerate(
+        zip_longest(got.split("\n"), want.split("\n"))) if a != b)
+    col = len(os.path.commonprefix([a or "", b or ""]))
+    lo = max(0, col - 40)
+    pytest.fail(f"texts differ at line {line + 1}, column {col + 1}:\n"
+                f"  got:  {a if a is None else a[lo:col + 40]!r}\n"
+                f"  want: {b if b is None else b[lo:col + 40]!r}")
+
+
 def written(method, *args) -> str:
     out = io.StringIO()
     method(*args, out)
@@ -138,7 +155,7 @@ def test_run_csv_matches_reference_across_blocks_and_events():
     traj = run(cfg)
     assert traj.steps > 2 * BLOCK_ROWS
     assert {1, 2, 4, 16, 17} <= set(traj.events.tolist())
-    assert written(traj.write_csv) == reference_run_csv(traj)
+    assert_same_text(written(traj.write_csv), reference_run_csv(traj))
 
 
 def test_run_csv_empty_trajectory():
@@ -148,7 +165,7 @@ def test_run_csv_empty_trajectory():
     traj = Trajectory(config=cfg, norms=np.zeros(1), omega=empty, delta=empty,
                       epsilon_t=empty, flops=empty,
                       events=np.array([], dtype=np.uint16))
-    assert written(traj.write_csv) == reference_run_csv(traj)
+    assert_same_text(written(traj.write_csv), reference_run_csv(traj))
 
 
 # -- swarm CSVs --------------------------------------------------------------
@@ -173,9 +190,9 @@ def _empty_swarm(spec):
 ], ids=["async", "relay", "constant", "empty"])
 def test_swarm_csvs_match_reference(traj):
     for agent in range(traj.spec.k):
-        assert (written(traj.write_agent_csv, agent)
-                == reference_agent_csv(traj, agent))
-    assert written(traj.write_collective_csv) == reference_collective_csv(traj)
+        assert_same_text(written(traj.write_agent_csv, agent),
+                         reference_agent_csv(traj, agent))
+    assert_same_text(written(traj.write_collective_csv), reference_collective_csv(traj))
 
 
 # -- any columns, block by block ---------------------------------------------
@@ -218,7 +235,7 @@ def test_run_csv_matches_reference_on_any_columns(n, seed, data):
                       omega=drawn_floats(data, rng, n), delta=drawn_floats(data, rng, n),
                       epsilon_t=drawn_floats(data, rng, n), flops=drawn_floats(data, rng, n),
                       events=drawn_column(data, rng, n, EVENT_CODES))
-    assert written(traj.write_csv) == reference_run_csv(traj)
+    assert_same_text(written(traj.write_csv), reference_run_csv(traj))
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,10 +250,10 @@ def test_swarm_csvs_match_reference_on_any_columns(n, seed, data):
         active=np.array([drawn_column(data, rng, n, np.array([False, True]))
                          for _ in range(spec.k)]).reshape(spec.k, n))
     for agent in range(spec.k):
-        assert (written(traj.write_agent_csv, agent)
-                == reference_agent_csv(traj, agent))
+        assert_same_text(written(traj.write_agent_csv, agent),
+                         reference_agent_csv(traj, agent))
     with np.errstate(invalid="ignore"):  # inf + -inf in the collective sum
-        assert written(traj.write_collective_csv) == reference_collective_csv(traj)
+        assert_same_text(written(traj.write_collective_csv), reference_collective_csv(traj))
 
 
 @settings(max_examples=80, deadline=None)
@@ -249,9 +266,9 @@ def test_csv_text_table_may_hold_percent_signs(n, seed, data):
     codes = drawn_column(data, rng, n, np.arange(len(names)))
     out = io.StringIO()
     write_csv(out, "t,x,name", columns, codes, names)
-    assert out.getvalue() == "t,x,name\n" + "".join(
+    assert_same_text(out.getvalue(), "t,x,name\n" + "".join(
         f"{t}," + "".join(f"{col[t]:.12g}," for col in columns) + f"{names[codes[t]]}\n"
-        for t in range(n))
+        for t in range(n)))
 
 
 @pytest.mark.parametrize("row", [0, BLOCK_ROWS - 1])
@@ -261,8 +278,8 @@ def test_a_block_of_zeros_keeps_its_negative_zero(row):
     column[row] = -0.0
     out = io.StringIO()
     write_csv(out, "t,x,e", [column], np.zeros(len(column), np.uint8), ("0",))
-    assert out.getvalue() == "t,x,e\n" + "".join(
-        f"{t},{x:.12g},0\n" for t, x in enumerate(column))
+    assert_same_text(out.getvalue(), "t,x,e\n" + "".join(
+        f"{t},{x:.12g},0\n" for t, x in enumerate(column)))
 
 
 # -- SVG ---------------------------------------------------------------------
@@ -280,8 +297,8 @@ def test_a_block_of_zeros_keeps_its_negative_zero(row):
         "inside", "above", "below", "extremes"])
 def test_svg_matches_reference(series, threshold):
     title = "drift <a&b> seed 1"
-    assert (svg_line_plot(series, threshold=threshold, title=title)
-            == reference_svg(series, threshold, title))
+    assert_same_text(svg_line_plot(series, threshold=threshold, title=title),
+                     reference_svg(series, threshold, title))
 
 
 plotted = st.one_of(st.sampled_from((0.0, -0.0, 1e300, -1e300, 5e-324)),
@@ -303,5 +320,6 @@ def test_svg_matches_reference_on_any_series(n, pools, seed, tail, threshold):
     title = "gain <a&b> seed 1"
     for pool in pools:
         series = rng.choice(np.array(pool), n)
-        assert (svg_line_plot(np.append(series, tail), threshold=threshold, title=title)
-                == reference_svg(series, threshold, title))
+        assert_same_text(svg_line_plot(np.append(series, tail), threshold=threshold,
+                                       title=title),
+                         reference_svg(series, threshold, title))

@@ -367,7 +367,6 @@ class TestRun:
         (lambda nan: abstract_gated(0.0, nan, 10.0, 0, 5, 1.0, 1), "gamma must be positive"),
         (lambda nan: abstract_gated(0.0, 10.0, nan, 0, 5, 1.0, 1), "gamma_true"),
         (lambda nan: delta_monotone(nan), "delta must be positive"),
-        (lambda nan: delta_monotone(1.0, gain_scale=nan), "gain_scale must be positive"),
         (lambda nan: ChannelSpec(temperature=nan), "temperature must be nonnegative"),
         (lambda nan: constant_mask(nan), "eps0"),
         (lambda nan: power_law_mask(0.1, nan, 1.0), "kappa"),
@@ -375,7 +374,7 @@ class TestRun:
         (lambda nan: CostModel(alpha_ffn=nan), "cost coefficients"),
         (lambda nan: CostModel(variant=CostVariant.LOG_RANK, log_coeff=nan), "log_coeff"),
         (lambda nan: BudgetGate(max_norm=nan), "max_norm"),
-    ], ids=["gamma", "gamma_true", "delta", "gain_scale", "temperature", "eps0", "kappa",
+    ], ids=["gamma", "gamma_true", "delta", "temperature", "eps0", "kappa",
             "alpha_decay", "alpha_ffn", "log_coeff", "max_norm"])
     def test_a_nan_parameter_is_refused(self, build, reason):
         # Every comparison with NaN is false, so each check is written to fail on it.
@@ -384,8 +383,7 @@ class TestRun:
 
     @pytest.mark.parametrize("build,reason", [
         (lambda nan: epsilon_star(nan, 1.0, 1.0), "delta, gamma and omega_sup must be positive"),
-        (lambda nan: divergence_time_bound(0, 11.0, 100.0, nan, 0.0, 10.0),
-         "delta and gamma must be positive"),
+        (lambda nan: divergence_time_bound(0, 11.0, 100.0, nan), "drift must be positive"),
         (lambda nan: combine_measures(nan, length_measure(), 1.0, length_measure()),
          "combination coefficients must be positive"),
         (lambda nan: ContextState(norm=nan), "norm must be nonnegative"),

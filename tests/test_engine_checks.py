@@ -45,7 +45,7 @@ class TestVerifyDrift:
         # From norm 11 with delta 0.5 and threshold 10: at least +5 per step,
         # checked per step and cumulatively with zero tolerance.
         traj = gated_run(11.0, 10.0, 0, 10, 0.5, horizon=200)
-        report = verify_drift(traj, delta=0.5, gamma=10.0)
+        report = verify_drift(traj)
         assert report.t0 == 0
         assert report.per_step_ok and report.cumulative_ok
         assert report.min_margin == 0.0
@@ -55,11 +55,11 @@ class TestVerifyDrift:
     def test_no_crossing(self):
         traj = gated_run(0.0, 10.0, 0, 10, 1.0, horizon=50)
         with pytest.raises(PreconditionError, match="never exceeded"):
-            verify_drift(traj, delta=1.0, gamma=10.0)
+            verify_drift(traj)
 
     def test_unmasked_bound_reduces_to_delta_gamma(self):
         traj = gated_run(11.0, 10.0, 0, 10, 1.0, horizon=100)
-        report = verify_drift(traj, delta=1.0, gamma=10.0, eps=0.0)
+        report = verify_drift(traj)
         assert report.mean_bound == 10.0
         assert report.mean_drift == 10.0
 
@@ -67,7 +67,7 @@ class TestVerifyDrift:
         # eps = 0.5, delta = 1, threshold 10 crossed: mean drift at least 5
         # within five standard errors over 10^4 steps.
         traj = gated_run(11.0, 10.0, 0, 12, 1.0, horizon=10_000, eps=0.5, seed=3)
-        report = verify_drift(traj, delta=1.0, gamma=10.0, eps=0.5)
+        report = verify_drift(traj)
         assert report.per_step_ok  # unmasked steps still add >= delta*gamma
         assert report.mean_ok
         assert report.mean_drift >= 5.0 - 5.0 * 12.0 * 0.5 / 100.0
@@ -81,12 +81,12 @@ class TestVerifyDrift:
 class TestVerifyBounded:
     def test_zero_start_stays_zero(self):
         traj = gated_run(0.0, 10.0, 0, 10, 1.0, horizon=1_000)
-        report = verify_bounded(traj, gamma=10.0)
+        report = verify_bounded(traj)
         assert report.passed and report.max_norm == 0.0
 
     def test_sub_threshold_start_never_escapes(self):
         traj = gated_run(5.0, 10.0, 0, 10, 1.0, horizon=10_000, eps=0.2, seed=9)
-        report = verify_bounded(traj, gamma=10.0)
+        report = verify_bounded(traj)
         assert report.passed
         assert report.lyapunov_max == 0.0
 
@@ -95,7 +95,7 @@ class TestVerifyBounded:
         # The same text on every numpy: not np.float64(11.0) on numpy 2.
         with pytest.raises(PreconditionError,
                            match=r"^initial norm 11\.0 exceeds the threshold 10\.0$"):
-            verify_bounded(traj, gamma=10.0)
+            verify_bounded(traj)
 
 
 class TestGammaStar:
@@ -130,19 +130,19 @@ class TestGammaStar:
 
 class TestDivergenceTimeBound:
     def test_plain_case(self):
-        assert divergence_time_bound(5, 12.0, 100.0, 1.0, 0.0, 10.0) == 14
+        assert divergence_time_bound(5, 12.0, 100.0, 10.0) == 14
 
     def test_masking_halves_drift(self):
-        assert divergence_time_bound(5, 12.0, 100.0, 1.0, 0.5, 10.0) == 23
+        assert divergence_time_bound(5, 12.0, 100.0, 5.0) == 23
 
     def test_one_step_suffices(self):
-        assert divergence_time_bound(5, 12.0, 12.0 + 10.0, 1.0, 0.0, 10.0) == 6
+        assert divergence_time_bound(5, 12.0, 12.0 + 10.0, 10.0) == 6
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            divergence_time_bound(5, 12.0, 100.0, 1.0, 1.0, 10.0)
+            divergence_time_bound(5, 12.0, 100.0, 0.0)
         with pytest.raises(ValueError):
-            divergence_time_bound(5, 12.0, 12.0, 1.0, 0.0, 10.0)
+            divergence_time_bound(5, 12.0, 12.0, 10.0)
 
     def test_observed_crossing_within_bound(self):
         traj = gated_run(2.0, 10.0, 2, 10, 1.0, horizon=40)
@@ -150,7 +150,7 @@ class TestDivergenceTimeBound:
         assert t_star == 5
         norm_at_star = float(traj.norms[t_star])
         assert norm_at_star == 12.0
-        bound = divergence_time_bound(t_star, norm_at_star, 100.0, 1.0, 0.0, 10.0)
+        bound = divergence_time_bound(t_star, norm_at_star, 100.0, 10.0)
         assert bound == 14
         assert traj.first_crossing(100.0 - 1e-12) <= bound
 
