@@ -34,7 +34,7 @@ from ..engine import (
     verify_bounded,
     verify_drift,
 )
-from ..engine.checks import crossing_step, drift_bounds, sublinear_growth_report
+from ..engine.checks import adding_steps, crossing_step, drift_bounds, sublinear_growth_report
 from ..measures import (
     audit_lz_dictionary_reuse,
     audit_measure,
@@ -162,10 +162,12 @@ def _cost_slope(traj, fields):
 def _time_bound(traj, fields):
     target = fields["bound_target"]
     t_star = crossing_step(traj)
-    _, drift = drift_bounds(traj.config)
-    bound = divergence_time_bound(t_star, float(traj.norms[t_star]), target, drift)
+    floor, _ = drift_bounds(traj.config)
+    bound = divergence_time_bound(t_star, float(traj.norms[t_star]), target, floor)
     reached = np.nonzero(traj.norms >= target)[0]
     observed = int(reached[0]) if len(reached) else None
+    # A masked or frozen step adds nothing: it moves the bound a step later.
+    bound += int((~adding_steps(traj)[t_star:observed]).sum())
     ok = observed is not None and observed <= bound
     return _status(ok), dict(t_star=t_star, bound=bound, observed=observed)
 

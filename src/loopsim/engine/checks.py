@@ -37,6 +37,12 @@ def drift_bounds(cfg: RunConfig) -> tuple[float, float]:
     return floor, delta * (1.0 - eps) * gamma
 
 
+def adding_steps(traj: Trajectory) -> np.ndarray:
+    """Which steps add to the norm: those neither MASKED nor BUDGET_FROZEN.
+    Above gamma each of them adds at least the floor of `drift_bounds`."""
+    return (traj.events & (EVENT_MASKED | EVENT_BUDGET_FROZEN)) == 0
+
+
 def crossing_step(traj: Trajectory, end: float = math.inf) -> int:
     """The first state index above the run's gamma, refused past ``end``."""
     t0 = traj.first_crossing(traj.config.gamma)
@@ -77,15 +83,14 @@ def verify_drift(traj: Trajectory) -> DriftReport:
     end = traj.steps if overflow_step is None else overflow_step
     t0 = crossing_step(traj, end)
     norms = traj.norms[:end + 1]
-    deltas, events = traj.delta[t0:end], traj.events[t0:end]
-    masked = (events & EVENT_MASKED) != 0
-    frozen = (events & EVENT_BUDGET_FROZEN) != 0
+    deltas, adding = traj.delta[t0:end], adding_steps(traj)[t0:end]
+    frozen = (traj.events[t0:end] & EVENT_BUDGET_FROZEN) != 0
 
-    margins = deltas[~(masked | frozen)] - floor
+    margins = deltas[adding] - floor
     per_step_ok = not (margins < 0.0).any()
     min_margin = float(margins.min()) if len(margins) else math.inf
 
-    if masked.any() or frozen.any():
+    if not adding.all():
         cumulative_ok = per_step_ok
     else:
         k = np.arange(len(norms) - t0)
@@ -194,11 +199,13 @@ def estimate_gamma_star(
 
 def divergence_time_bound(t_star: int, norm_at_star: float, target: float,
                           drift: float) -> int:
-    """Latest step by which a gated run must cross the target level.
+    """Latest step by which a gated run must cross the target level, if
+    every step from t_star on adds to the norm.
 
     t_star is the first index whose norm exceeds the threshold; from there
-    every step adds at least ``drift`` (`drift_bounds`' mean) in expectation,
-    so the target is reached within ceil((target - norm) / drift) more steps.
+    every step that adds (`adding_steps`) adds at least ``drift``, the floor
+    of `drift_bounds`, so the target is reached within
+    ceil((target - norm) / drift) adding steps.
     """
     if not drift > 0.0:
         raise ValueError("drift must be positive")
@@ -235,7 +242,7 @@ def burst_stats(traj: Trajectory) -> BurstReport:
         raise PreconditionError("trajectory was not produced under a window cap")
 
     burst_steps = np.nonzero((traj.events & EVENT_BURST_HIT_W) != 0)[0]
-    adding = np.cumsum((traj.events & (EVENT_MASKED | EVENT_BUDGET_FROZEN)) == 0)
+    adding = np.cumsum(adding_steps(traj))
     gaps = tuple(int(g) for g in np.diff(adding[burst_steps]))
     max_norm = float(traj.norms.max())
 

@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import NamedTuple, TextIO
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..channel import (
     ChannelSpec,
@@ -345,11 +344,12 @@ def step(state: ContextState, t: int, cfg: RunConfig,
 # gate; ABSTRACT runs over them take the segment path.
 _SEGMENT_PSI = (PsiKind.IDENTITY, PsiKind.TAGGED_INJECTIVE, PsiKind.CONSTANT,
                 PsiKind.GATED)
-# Segment chunks start at 64 steps and double up to 4,096; a WINDOWED burst
-# table holds at most 2**17 float64 cells (1 MiB). A run whose segments
-# average under 16 steps goes on one step at a time: a segment costs about
-# as much as ten steps of the per-step loop.
-_CHUNK_MIN, _CHUNK_MAX, _TABLE_CELLS, _SHORT_SEGMENT = 64, 4096, 1 << 17, 16
+# Segment chunks start at 64 steps and double up to 4,096. A run whose
+# segments average under 16 steps goes on one step at a time: below that a
+# regime that flips on masks (OVERWRITE) runs faster step by step, above it
+# in segments. A gate flipping inside each WINDOWED burst breaks even nearer
+# 32 steps, but one hand-off serves both.
+_CHUNK_MIN, _CHUNK_MAX, _SHORT_SEGMENT = 64, 4096, 16
 
 
 def run(cfg: RunConfig) -> Trajectory:
@@ -521,10 +521,12 @@ def _run_segments(cfg, masked_a, columns):
     side of GATED's ``gamma_true``, so every meaning is empty (masked) or
     has one length L, and gain and increment take one of two values each.
     The norms are then a cumsum, which numpy accumulates left to right as
-    the step loop adds; so is the compute spent, summed only for a budget
-    gate. A segment ends after the last step of its regime; a non-finite
-    norm ends the run (OVERFLOW), and an open budget gate freezes the rest
-    of it. Writes and returns what `_run_steps` does for an ABSTRACT run.
+    the step loop adds, or under WINDOWED the step loop's own scan
+    (`_bursts`), so a cap hit ends no segment; the compute spent is a cumsum
+    too, summed only for a budget gate. A segment ends after the last step
+    of its regime; a non-finite norm ends the run (OVERFLOW), and an open
+    budget gate freezes the rest of it. Writes and returns what `_run_steps`
+    does for an ABSTRACT run.
     """
     norms, omega_a, events_a = columns
     horizon, spec, rule, gate = cfg.horizon, cfg.channel, cfg.update, cfg.budget
@@ -568,11 +570,11 @@ def _run_segments(cfg, masked_a, columns):
         # Cut before the first step in another regime, after the first
         # non-finite norm.
         change = ((x <= spec.gamma_true) != (x0 <= spec.gamma_true) if gated
-                  else np.zeros(len(new), dtype=bool))
+                  else np.zeros(c, dtype=bool))
         if gate is not None:
             cum = np.cumsum(np.concatenate(([cum_flops], flops_array(entry, cfg.cost_model))))
             change |= (entry > gate.max_norm) | (cum[:-1] > gate.max_flops)
-        n = int(change.argmax()) if change.any() else len(new)
+        n = int(change.argmax()) if change.any() else c
         overflow = ~np.isfinite(new[:n])
         stop = bool(overflow.any())
         if stop:
@@ -594,44 +596,23 @@ def _run_segments(cfg, masked_a, columns):
 
 
 def _bursts(x0, inc, rule):
-    """WINDOWED steps over a chunk of increments, one burst after another.
+    """WINDOWED steps over a whole chunk of increments, one burst after another.
 
-    Row s of the burst table is a burst that starts at step s: ``drop_to``
-    (``x0`` for s = 0) followed by the increments from step s on, summed
-    along the row, so each entry is the step loop's own left-to-right sum. A
-    burst ends at its first entry at or above the window, and the next one
-    starts a step later. Rows are about twice the mean burst long, and a
-    burst that outlasts its row ends the chunk there. When a burst is
-    expected to outlast the chunk, the table is the one row from ``x0`` and
-    the chunk ends at its first cap hit. Returns (x, new, hit_w) for the
-    steps covered, as in `_run_segments`.
+    The step loop's own scan, run by `itertools.accumulate`: each step adds
+    its increment to the norm before it, or to ``drop_to`` after a cap hit,
+    the same float add in the same order. A raw sum at or above the window is
+    a hit and records the window. ``x0``, below the window, is the norm the
+    first step adds to. Returns (x, new, hit_w) for every step of the chunk,
+    as in `_run_segments`.
     """
     window, drop_to = float(rule.window), float(rule.drop_to)
-    c = len(inc)
-    rate = float(inc.mean())
-    width = c if rate <= 0.0 else int(min(c, 2.0 * (window - drop_to) / rate + 8.0))
-    if width < c:
-        c = min(c, _TABLE_CELLS // (width + 1))
-        starts = np.full(c, drop_to)
-        starts[0] = x0
-        tail = sliding_window_view(np.concatenate((inc[:c], np.zeros(width - 1))), width)
-        rows = np.cumsum(np.column_stack((starts, tail)), axis=1)
-    else:
-        width = c
-        rows = np.cumsum(np.concatenate(([x0], inc)))[None]
-    hit = rows[:, 1:] >= window
-    ends = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, 0).tolist()
-    first, s = [0], 0
-    while ends[s] and s + ends[s] < len(ends):
-        s += ends[s]
-        first.append(s)
-    n = s + ends[s] if ends[s] else min(s + width, c)
-    burst = np.repeat(first, np.diff(first + [n]))
-    offset = np.arange(n) - burst
-    x = rows[burst, offset]
-    raw = rows[burst, offset + 1]
+    steps = inc.tolist()
+    raw = np.fromiter(
+        accumulate(steps[1:], lambda r, i: (drop_to if r >= window else r) + i,
+                   initial=x0 + steps[0]), float, len(steps))
     hit_w = raw >= window
     new = np.where(hit_w, window, raw)
+    x = np.concatenate(([x0], np.where(hit_w[:-1], drop_to, raw[:-1])))
     return x, new, hit_w
 
 

@@ -28,7 +28,7 @@ from loopsim.cli.config import VALID_OUTPUTS, Scenario, build_run_config, build_
 from loopsim.cli.main import main
 from loopsim.cli.runner import (AUDITS, KINDS, RUN_CHECKS, STATIC_ONLY, _atomic_write, _verdicts,
                                 json_text, run_audit)
-from loopsim.engine import run
+from loopsim.engine import EVENT_MASKED, run
 from loopsim.engine.core import MAX_STEPS
 from loopsim.swarm import run_swarm
 
@@ -345,6 +345,35 @@ class TestCheckTables:
         drift, time_bound = summary["runs"][0]["checks"]
         assert time_bound["status"] == "FAIL"
         assert time_bound["detail"] == drift["detail"] == {"error": "norm never exceeded 10.0"}
+
+    @staticmethod
+    def _finite_time(**fields):
+        base = [s for s in builtin_scenarios() if s.name == "finite_time"][0]
+        return dataclasses.replace(
+            base, fields=tuple(sorted({**dict(base.fields), **fields}.items())),
+            sweep=(), repeat=1, outputs=("json",), checks=("time_bound",))
+
+    # Each read FAIL under a bound of t* + ceil(88 / (delta * (1 - eps) * gamma)),
+    # the mean drift applied to one run: 15-18 of 50 seeds fail that way.
+    @pytest.mark.parametrize("eps0,seed", [
+        ("0.1", 1004), ("0.1", 1005), ("0.3", 1002), ("0.5", 1003), ("0.5", 1004)])
+    def test_time_bound_counts_the_steps_that_add(self, tmp_path, eps0, seed):
+        scenario = self._finite_time(horizon="200", eps0=eps0, seed=str(seed))
+        verdict, = run_scenario(scenario, tmp_path)["runs"][0]["checks"]
+        assert verdict["status"] == "PASS", verdict["detail"]
+
+    def test_one_adding_step_too_many_fails_time_bound(self):
+        # Masked at steps 13, 14 and 16, this run reaches the target on the
+        # last step its bound allows; unmask one of them and it is a step late.
+        traj = run(build_run_config(self._finite_time(horizon="200", eps0="0.1", seed="1004")))
+        fields = {"bound_target": 100.0}
+        assert RUN_CHECKS["time_bound"](traj, fields) == (
+            "PASS", {"t_star": 7, "bound": 19, "observed": 19})
+        events = traj.events.copy()
+        assert events[13] & EVENT_MASKED
+        events[13] ^= EVENT_MASKED
+        assert RUN_CHECKS["time_bound"](dataclasses.replace(traj, events=events), fields) == (
+            "FAIL", {"t_star": 7, "bound": 18, "observed": 19})
 
     def test_a_drift_floor_past_the_largest_float_fails_naming_it(self, tmp_path):
         # delta * gamma = 1e308 * 10 overflows; the check itself must not warn.

@@ -45,7 +45,7 @@ from loopsim.engine import (
     step,
     windowed,
 )
-from loopsim.engine.core import MAX_SYMBOLS
+from loopsim.engine.core import MAX_SYMBOLS, _bursts
 from loopsim.measures import (
     combine_measures,
     compression_gain_measure,
@@ -562,6 +562,36 @@ class TestRules:
         hits = np.nonzero(norms == 100.0)[0]
         assert len(hits) > 1
         assert norms[hits[0] + 1] == 21.0  # 11 + one 10-unit gain
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_burst_scan_matches_a_float_loop(self, data):
+        # Increments drawn from a small pool that holds 0 and a step that
+        # reaches the window from any start; x0 is drop_to or anywhere below W.
+        window = data.draw(st.integers(1, 1000), label="window")
+        drop_to = data.draw(st.integers(0, 2 * window - 1), label="drop_to") / 2
+        x0 = data.draw(st.one_of(st.just(drop_to),
+                                 st.floats(0.0, window, exclude_max=True)), label="x0")
+        pool = data.draw(st.lists(st.floats(0.0, 2.0 * window), max_size=4), label="pool")
+        pool += [0.0, float(window)]
+        n = data.draw(st.integers(1, 4096), label="steps")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        inc = rng.choice(np.array(pool), n)
+        xs, news, hits, x = [], [], [], x0
+        for i in inc.tolist():
+            raw = x + i
+            xs.append(x)
+            hits.append(raw >= window)
+            news.append(float(window) if raw >= window else raw)
+            x = drop_to if raw >= window else raw
+        got = _bursts(x0, inc, windowed(window, drop_to=drop_to))
+        want = (np.array(xs), np.array(news), np.array(hits))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("drop_to", [10.0, 12.5])
+    def test_a_drop_to_at_or_past_the_window_is_refused(self, drop_to):
+        with pytest.raises(ValueError, match=r"drop_to must lie in \[0, window\)"):
+            windowed(10, drop_to=drop_to)
 
     @pytest.mark.parametrize("drop_to,digests_sha", [
         (0.0, "7a304c07463a42ca4b03c157ebf493ff80706ca17dd4a79a0b802a62150a90e7"),
