@@ -27,6 +27,7 @@ import numpy as np
 from ..channel import ChannelSpec, EpsilonSchedule
 from ..cost import CostModel
 from ..engine import BudgetGate, RunConfig, UpdateRuleSpec
+from ..engine.core import MAX_STEPS
 from ..measures import (
     MeasureKind,
     MeasureSpec,
@@ -96,8 +97,8 @@ class Scenario:
             yield "", {}
             return
         keys = [k for k, _ in self.sweep]
-        for combo in product(*(values for _, values in self.sweep)):
-            overrides = dict(zip(keys, combo))
+        for point in product(*(values for _, values in self.sweep)):
+            overrides = dict(zip(keys, point))
             label = ",".join(f"{k}={v}" for k, v in overrides.items())
             yield label, overrides
 
@@ -228,15 +229,18 @@ def runner_fields(scenario: Scenario, table: dict, overrides=None) -> dict:
 
     These are the fields only the runner reads. The default's type parses the
     text, and a field the scenario leaves out or sets empty takes the default.
+    A field with a least value is a count, at most `MAX_STEPS`; a float is finite.
     """
     f = scenario.field_map(overrides)
     values = {}
     for key, (default, least) in table.items():
         raw = f.get(key)
         value = _parse(raw, type(default), scenario.name, key) if raw else default
-        if least is not None and value < least:
-            raise ScenarioValidationError(
-                f"scenario {scenario.name!r}, field {key!r}: must be at least {least}")
+        bad = (f"must lie in [{least}, {MAX_STEPS}]"
+               if least is not None and not least <= value <= MAX_STEPS else
+               "must be finite" if isinstance(value, float) and not np.isfinite(value) else "")
+        if bad:
+            raise ScenarioValidationError(f"scenario {scenario.name!r}, field {key!r}: {bad}")
         values[key] = value
     return values
 

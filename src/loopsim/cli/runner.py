@@ -308,7 +308,7 @@ _RUN_FIELDS = {
     "conjecture_seeds": (10, 1),
     "budget_binding": (BudgetBinding.GAMMA, None),
 }
-_SWARM_FIELDS = {"seed": (0, None), "horizon": (100, 1)}
+_SWARM_FIELDS = {"seed": (0, None), "horizon": (100, None)}  # bounded by check_horizon
 _PROTOTYPE_FIELDS = {"seed": (0, None), "steps": (200, 1), "gamma": (10.0, None)}
 
 

@@ -44,11 +44,12 @@ class CostModel:
             raise ValueError("log_coeff must be positive")
 
 
-def effective_rank(norm: float, model: CostModel) -> int:
+def effective_rank(norm: float, model: CostModel) -> float:
     if model.variant is CostVariant.LOW_RANK:
         return model.rank
     if model.variant is CostVariant.LOG_RANK:
-        return max(1, math.ceil(model.log_coeff * math.log(max(norm, 1.0))))
+        rank = model.log_coeff * math.log(norm) if norm > 1.0 else 0.0
+        return max(1, math.ceil(rank)) if rank < math.inf else math.inf
     raise ValueError("rank is only defined for low-rank variants")
 
 

@@ -205,13 +205,15 @@ def divergence_time_bound(t_star: int, norm_at_star: float, target: float,
     t_star is the first index whose norm exceeds the threshold; from there
     every step that adds (`adding_steps`) adds at least ``drift``, the floor
     of `drift_bounds`, so the target is reached within
-    ceil((target - norm) / drift) adding steps.
+    ceil((target - norm) / drift) adding steps: a count that must be finite.
     """
     if not drift > 0.0:
         raise ValueError("drift must be positive")
-    if target <= norm_at_star:
-        raise ValueError("target must exceed the norm at the crossing step")
-    return t_star + math.ceil((target - norm_at_star) / drift)
+    if not norm_at_star < target < math.inf:
+        raise ValueError("target must be finite and exceed the norm at the crossing step")
+    if not (steps := (target - norm_at_star) / drift) < math.inf:
+        raise ValueError(f"(target - norm) / drift = {steps!r} steps is not finite")
+    return t_star + math.ceil(steps)
 
 
 @dataclass(frozen=True)

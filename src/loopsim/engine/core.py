@@ -4,9 +4,10 @@ Each step draws self-referential noise, maps it to a meaning, scores the
 meaning with the configured gain measure, and folds it into the context under
 the configured update rule. ABSTRACT mode keeps only the real-valued norm
 ledger (exact checks, no symbol materialisation), CONCRETE mode maintains the
-actual symbol sequence. `step` is the one reference transition; `run` takes
-most ABSTRACT runs in vectorised segments and the rest one step at a time,
-then derives every other column once: it gives the bits a `step` loop gives.
+actual symbol sequence. `step` is the one reference transition and `replay`
+the one reference run, a plain loop of it; `run` takes most ABSTRACT runs in
+vectorised segments and the rest one step at a time, then derives every other
+column once: it gives the bits `replay` gives.
 """
 
 from __future__ import annotations
@@ -340,6 +341,36 @@ def step(state: ContextState, t: int, cfg: RunConfig,
                                  flops, event_names(events))
 
 
+def replay(cfg: RunConfig) -> Trajectory:
+    """The run of ``cfg`` as a plain loop of `step`: the slow reference run
+    that `run` is checked against, bit for bit. It adds the run-level flags:
+    CROSSED_GAMMA on the step to the first norm above gamma, OVERFLOW on a step
+    to a norm that is not finite (CONCRETE: above `MAX_SYMBOLS`) and FIXED_POINT
+    on a deterministic CONCRETE step that leaves the state unchanged; the last
+    two end the run."""
+    concrete = cfg.mode is Mode.CONCRETE
+    state, cum_flops, rows = cfg.initial_state(), 0.0, []
+    crossed = state.norm > cfg.gamma
+    for t in range(cfg.horizon):
+        new, record = step(state, t, cfg, cum_flops)
+        cum_flops += record.flops
+        events = sum(bit for bit, name in _EVENT_NAMES if name in record.events)
+        if not crossed and new.norm > cfg.gamma:
+            events, crossed = events | EVENT_CROSSED_GAMMA, True
+        stop = not (new.norm <= MAX_SYMBOLS if concrete else math.isfinite(new.norm))
+        if stop:
+            events |= EVENT_OVERFLOW
+        if concrete and cfg.channel.deterministic and new == state:
+            events, stop = events | EVENT_FIXED_POINT, True
+        rows.append((*record[1:6], events))
+        state = new
+        if stop:
+            break
+    norm, omega, delta, eps, flops, events = map(np.array, zip(*rows))
+    return Trajectory(cfg, np.append(norm, state.norm), omega, delta, eps, flops,
+                      events.astype(np.uint16), state.symbols if concrete else None)
+
+
 # ψ kinds whose meaning length depends on the norm at most through GATED's
 # gate; ABSTRACT runs over them take the segment path.
 _SEGMENT_PSI = (PsiKind.IDENTITY, PsiKind.TAGGED_INJECTIVE, PsiKind.CONSTANT,
@@ -365,7 +396,7 @@ def run(cfg: RunConfig) -> Trajectory:
     per-step path. A path writes the norms, the gains and the BURST_HIT_W,
     BUDGET_FROZEN, OVERFLOW and FIXED_POINT bits; `run` then derives, once
     for both, the MASKED bits, CROSSED_GAMMA on the step to the first norm
-    above gamma, the increments and the flops: the bits a `step` loop gives.
+    above gamma, the increments and the flops: the bits `replay` gives.
     """
     horizon, spec = cfg.horizon, cfg.channel
     norms, omega = np.empty(horizon + 1), np.empty(horizon)

@@ -30,7 +30,6 @@ class MeasureKind(str, Enum):
     POWER_LAW = "POWER_LAW"
     FISHER = "FISHER"
     DECLARED_BONUS = "DECLARED_BONUS"
-    LINEAR_COMBO = "LINEAR_COMBO"
 
 
 def compression_gain(m: Meaning) -> float:
@@ -146,9 +145,9 @@ class MeasureSpec:
 
     ``lipschitz_bound`` is None when unknown; the audit then reports worst
     observed ratios instead of counting violations. A POWER_LAW exponent
-    must exceed 1, a FISHER ``theta0`` lie in (0, 1), and a LINEAR_COMBO
-    needs its ``combo`` and a DECLARED_BONUS its ``bases``: all are checked
-    here, once, so a missing or NaN one is refused at construction.
+    must exceed 1, a FISHER ``theta0`` lie in (0, 1), and a DECLARED_BONUS
+    needs its ``bases``: all are checked here, once, so a missing or NaN one
+    is refused at construction.
     """
 
     kind: MeasureKind
@@ -156,7 +155,6 @@ class MeasureSpec:
     theta0: float | None = None
     bases: Mapping[str, float] | None = None
     bonus: Mapping[tuple[str, str], float] | None = None
-    combo: tuple[float, "MeasureSpec", float, "MeasureSpec"] | None = None
     lipschitz_bound: float | None = None
 
     def __post_init__(self) -> None:
@@ -164,8 +162,6 @@ class MeasureSpec:
             raise ValueError("power-law exponent must exceed 1")
         if self.kind is MeasureKind.FISHER and not 0.0 < (self.theta0 or 0.0) < 1.0:
             raise ValueError("theta0 must lie in (0, 1)")
-        if self.kind is MeasureKind.LINEAR_COMBO and self.combo is None:
-            raise ValueError("a LINEAR_COMBO measure needs combo")
         if self.kind is MeasureKind.DECLARED_BONUS and self.bases is None:
             raise ValueError("a DECLARED_BONUS measure needs bases")
 
@@ -177,9 +173,6 @@ class MeasureSpec:
             return fisher_gain(m, self.theta0)
         if self.kind is MeasureKind.DECLARED_BONUS:
             return declared_gain(m, self.bases, self.bonus)
-        if self.kind is MeasureKind.LINEAR_COMBO:
-            a, s1, b, s2 = self.combo
-            return a * s1.evaluate(m) + b * s2.evaluate(m)
         return self.evaluate_length(len(m))
 
     def evaluate_concat(self, m1: Meaning, m2: Meaning) -> float:
@@ -201,19 +194,11 @@ class MeasureSpec:
                 return float(n) ** self.exponent
             except OverflowError:  # past the largest float: the run flags OVERFLOW
                 return math.inf
-        if self.kind is MeasureKind.LINEAR_COMBO:
-            a, s1, b, s2 = self.combo
-            return a * s1.evaluate_length(n) + b * s2.evaluate_length(n)
         raise ValueError(f"{self.kind.value} needs symbols, not just a length")
 
     @property
     def length_arithmetic(self) -> bool:
-        if self.kind in (MeasureKind.LENGTH, MeasureKind.POWER_LAW):
-            return True
-        if self.kind is MeasureKind.LINEAR_COMBO:
-            a, s1, b, s2 = self.combo
-            return s1.length_arithmetic and s2.length_arithmetic
-        return False
+        return self.kind in (MeasureKind.LENGTH, MeasureKind.POWER_LAW)
 
 
 def length_measure() -> MeasureSpec:
@@ -237,22 +222,3 @@ def declared_measure(
     bonus: Mapping[tuple[str, str], float] | None = None,
 ) -> MeasureSpec:
     return MeasureSpec(MeasureKind.DECLARED_BONUS, bases=dict(bases), bonus=dict(bonus or {}))
-
-
-def combine_measures(
-    alpha: float, spec1: MeasureSpec, beta: float, spec2: MeasureSpec
-) -> MeasureSpec:
-    """Positive linear combination alpha*spec1 + beta*spec2.
-
-    The combined Lipschitz bound is alpha*L1 + beta*L2 when both are known.
-    """
-    if not (alpha > 0.0 and beta > 0.0):
-        raise ValueError("combination coefficients must be positive")
-    bound = None
-    if spec1.lipschitz_bound is not None and spec2.lipschitz_bound is not None:
-        bound = alpha * spec1.lipschitz_bound + beta * spec2.lipschitz_bound
-    return MeasureSpec(
-        MeasureKind.LINEAR_COMBO,
-        combo=(alpha, spec1, beta, spec2),
-        lipschitz_bound=bound,
-    )

@@ -10,6 +10,7 @@ import sys
 import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from loopsim.cli.config import VALID_OUTPUTS, Scenario, build_run_config, build_
 from loopsim.cli.main import main
 from loopsim.cli.runner import (AUDITS, KINDS, RUN_CHECKS, STATIC_ONLY, _atomic_write, _verdicts,
                                 json_text, run_audit)
-from loopsim.engine import EVENT_MASKED, run
+from loopsim.engine import EVENT_BURST_HIT_W, EVENT_MASKED, burst_stats, run
 from loopsim.engine.core import MAX_STEPS
 from loopsim.swarm import run_swarm
 
@@ -41,6 +42,20 @@ def strict_loads(text):
 
 def strict_json(path):
     return strict_loads(path.read_text(encoding="utf-8"))
+
+
+def invoke(tmp_path, text, verb="run"):
+    """`loopsim <verb>` on a config file holding ``text``, writing to tmp_path/out."""
+    config = tmp_path / "config.ini"
+    config.write_text(text)
+    return CliRunner().invoke(main, [verb, str(config), "--out", str(tmp_path / "out")])
+
+
+def builtin(name, fields=(), **attrs):
+    """The builtin scenario ``name`` with ``fields`` set and ``attrs`` replaced."""
+    base = next(s for s in builtin_scenarios() if s.name == name)
+    return dataclasses.replace(
+        base, fields=tuple(sorted({**dict(base.fields), **dict(fields)}.items())), **attrs)
 
 
 MINIMAL = """
@@ -125,8 +140,8 @@ def _field_text(draw, default, least):
     if isinstance(default, tuple):
         values = draw(st.lists(st.floats(0.5, 1e4), min_size=3, max_size=6))
         return ",".join(map(repr, values))
-    if isinstance(default, int):
-        return str(draw(st.integers(least or 0, 10**6)))
+    if isinstance(default, int):  # a seed, or a swarm horizon that check_horizon bounds
+        return str(draw(st.integers(least or 1, 10**6)))
     return repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
 
 
@@ -224,10 +239,8 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("gamma", ["inf"])
     def test_a_non_finite_threshold_draws_no_line(self, tmp_path, gamma):
-        config = tmp_path / "gamma.ini"
-        config.write_text(MINIMAL.replace("gamma = 10\n", f"gamma = {gamma}\n")
-                          .replace("checks = drift", "checks = bounded"))
-        result = CliRunner().invoke(main, ["run", str(config), "--out", str(tmp_path / "out")])
+        result = invoke(tmp_path, MINIMAL.replace("gamma = 10\n", f"gamma = {gamma}\n")
+                                  .replace("checks = drift", "checks = bounded"))
         assert result.exit_code == 0, result.output
         svg = (tmp_path / "out" / "tiny" / "base__seed1.svg").read_text()
         assert "nan" not in svg and "inf" not in svg
@@ -317,10 +330,8 @@ class TestCheckTables:
         "check", [name for kind in KINDS.values() for name in kind.checks])
     def test_each_check_runs(self, tmp_path, check):
         base_name, overrides, expected = CHECK_RUNS[check]
-        base = [s for s in builtin_scenarios() if s.name == base_name][0]
-        scenario = dataclasses.replace(
-            base, fields=tuple(sorted({**dict(base.fields), **overrides}.items())),
-            sweep=(), repeat=1, outputs=("json",), checks=(check,))
+        scenario = builtin(base_name, overrides, sweep=(), repeat=1, outputs=("json",),
+                           checks=(check,))
         summary = run_scenario(scenario, tmp_path)
         verdict, = summary["runs"][0]["checks"]
         assert (verdict["name"], verdict["status"]) == (check, expected)
@@ -348,10 +359,8 @@ class TestCheckTables:
 
     @staticmethod
     def _finite_time(**fields):
-        base = [s for s in builtin_scenarios() if s.name == "finite_time"][0]
-        return dataclasses.replace(
-            base, fields=tuple(sorted({**dict(base.fields), **fields}.items())),
-            sweep=(), repeat=1, outputs=("json",), checks=("time_bound",))
+        return builtin("finite_time", fields, sweep=(), repeat=1, outputs=("json",),
+                       checks=("time_bound",))
 
     # Each read FAIL under a bound of t* + ceil(88 / (delta * (1 - eps) * gamma)),
     # the mean drift applied to one run: 15-18 of 50 seeds fail that way.
@@ -375,6 +384,30 @@ class TestCheckTables:
         assert RUN_CHECKS["time_bound"](dataclasses.replace(traj, events=events), fields) == (
             "FAIL", {"t_star": 7, "bound": 18, "observed": 19})
 
+    def test_one_adding_step_one_ulp_below_the_floor_fails_drift(self):
+        # Every step of the builtin drift run adds exactly delta * gamma = 5.
+        traj = run(build_run_config(builtin("drift", {"horizon": "100"})))
+        status, detail = RUN_CHECKS["drift"](traj, {})
+        assert (status, detail["min_margin"]) == ("PASS", 0.0)
+        delta = traj.delta.copy()
+        delta[50] = np.nextafter(5.0, 0.0)
+        status, detail = RUN_CHECKS["drift"](dataclasses.replace(traj, delta=delta), {})
+        assert (status, detail["min_margin"]) == ("FAIL", np.nextafter(5.0, 0.0) - 5.0)
+
+    def test_one_adding_step_too_many_fails_bursts(self):
+        # Masked at step 31, the gap from the burst at 26 to the one at 36 holds
+        # exactly gap_bound = 9 adding steps; unmask it and it holds 10.
+        traj = run(build_run_config(builtin("bursts", {"eps0": "0.1", "horizon": "300"})))
+        assert RUN_CHECKS["bursts"](traj, {})[0] == "PASS"
+        assert burst_stats(traj).gaps[2] == burst_stats(traj).gap_bound == 9
+        hits = np.nonzero(traj.events & EVENT_BURST_HIT_W)[0]
+        assert hits[2:4].tolist() == [26, 36] and traj.events[31] & EVENT_MASKED
+        events = traj.events.copy()
+        events[31] ^= EVENT_MASKED
+        edited = dataclasses.replace(traj, events=events)
+        assert burst_stats(edited).gaps[2] == 10
+        assert RUN_CHECKS["bursts"](edited, {})[0] == "FAIL"
+
     def test_a_drift_floor_past_the_largest_float_fails_naming_it(self, tmp_path):
         # delta * gamma = 1e308 * 10 overflows; the check itself must not warn.
         text = MINIMAL.replace("delta = 1.0", "delta = 1e308")
@@ -392,19 +425,14 @@ class TestCheckTables:
         ({"mask_kind": "POWER_LAW", "eps0": "0.1", "kappa": "0.4", "alpha_decay": "0.5"}, 9),
     ], ids=["0.5-18", "2.0-5", "masked-9", "power_law_masked-9"])
     def test_bursts_gap_bound_reads_delta(self, tmp_path, fields, gap_bound):
-        base = [s for s in builtin_scenarios() if s.name == "bursts"][0]
-        scenario = dataclasses.replace(
-            base, fields=tuple(sorted({**dict(base.fields), **fields}.items())),
-            repeat=5, outputs=("json",))
+        scenario = builtin("bursts", fields, repeat=5, outputs=("json",))
         for entry in run_scenario(scenario, tmp_path)["runs"]:
             verdict, = entry["checks"]
             assert verdict["status"] == "PASS" and verdict["detail"]["gap_bound"] == gap_bound
 
     def _relay(self, tmp_path, **fields):
-        base = [s for s in builtin_scenarios() if s.name == "swarm_relay"][0]
-        scenario = dataclasses.replace(
-            base, fields=tuple(sorted({**dict(base.fields), **fields}.items())),
-            outputs=("json",), checks=("divergence", "collective_gain"))
+        scenario = builtin("swarm_relay", fields, outputs=("json",),
+                           checks=("divergence", "collective_gain"))
         entry = run_scenario(scenario, tmp_path)["runs"][0]
         written = strict_json(tmp_path / "swarm_relay.summary.json")["runs"][0]
         assert written["final_norms"] == [
@@ -437,7 +465,7 @@ class TestCheckTables:
 
 class TestBuiltins:
     def test_onebit_trace(self, tmp_path):
-        scenario = [s for s in builtin_scenarios() if s.name == "onebit"][0]
+        scenario = builtin("onebit")
         summary = run_scenario(scenario, tmp_path)
         csv_path = tmp_path / "onebit" / "base__seed1.csv"
         rows = csv_path.read_text().splitlines()[1:]
@@ -446,7 +474,7 @@ class TestBuiltins:
         assert summary["failures"] == 0
 
     def test_tokens_classification_contrast(self, tmp_path):
-        scenario = [s for s in builtin_scenarios() if s.name == "tokens"][0]
+        scenario = builtin("tokens")
         summary = run_scenario(scenario, tmp_path)
         by_label = {e["label"]: e for e in summary["runs"]}
         hot = by_label["temperature=1.0"]
@@ -456,7 +484,7 @@ class TestBuiltins:
         assert cold["checks"][0]["detail"]["fixed_point_step"] <= 2
 
     def test_prototype_histories(self, tmp_path):
-        scenario = [s for s in builtin_scenarios() if s.name == "prototype"][0]
+        scenario = builtin("prototype")
         summary = run_scenario(scenario, tmp_path)
         statuses = {v["name"]: v["status"] for v in summary["runs"][0]["checks"]}
         assert statuses["prototype_overwrite_binary"] == "PASS"
@@ -466,9 +494,7 @@ class TestBuiltins:
 class TestConjecture:
     def test_fit_fields_and_point_count(self):
         from loopsim.cli import conjecture_experiment
-        scenario = [s for s in builtin_scenarios()
-                    if s.name == "conjecture_log"][0]
-        fit = conjecture_experiment(scenario)
+        fit = conjecture_experiment(builtin("conjecture_log"))
         assert len(fit["points"]) == 5
         assert fit["slope"] > 0.0
         assert fit["r_squared"] > 0.9
@@ -476,9 +502,7 @@ class TestConjecture:
 
     def test_flat_control_has_no_trend(self):
         from loopsim.cli import conjecture_experiment
-        scenario = [s for s in builtin_scenarios()
-                    if s.name == "conjecture_flat"][0]
-        fit = conjecture_experiment(scenario)
+        fit = conjecture_experiment(builtin("conjecture_flat"))
         assert abs(fit["slope"]) < 0.5
 
     def test_report_reads_a_fit_as_one_info_row(self, tmp_path):
@@ -501,13 +525,8 @@ class TestConjecture:
 
     def test_needs_three_distinct_budgets(self):
         from loopsim.cli import conjecture_experiment
-        base = [s for s in builtin_scenarios() if s.name == "conjecture_log"][0]
-        fields = dict(base.fields)
-        fields["budgets"] = "100,100,100"
-        import dataclasses
-        bad = dataclasses.replace(base, fields=tuple(sorted(fields.items())))
         with pytest.raises(ValueError, match="3 distinct"):
-            conjecture_experiment(bad)
+            conjecture_experiment(builtin("conjecture_log", {"budgets": "100,100,100"}))
 
 
 class TestCliVerbs:
@@ -530,40 +549,27 @@ class TestCliVerbs:
         assert result.stdout.split() == []
 
     def test_fixed_point_on_an_abstract_run_fails_naming_concrete(self, tmp_path):
-        config = tmp_path / "abstract.ini"
-        config.write_text(MINIMAL.replace("checks = drift", "checks = fixed_point"))
-        result = CliRunner().invoke(
-            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        result = invoke(tmp_path, MINIMAL.replace("checks = drift", "checks = fixed_point"))
         assert result.exit_code == 1, result.output
         verdict, = strict_json(tmp_path / "out" / "tiny.summary.json")["runs"][0]["checks"]
         assert verdict["status"] == "FAIL" and "CONCRETE" in verdict["detail"]["error"]
 
     def test_run_failure_exits_one(self, tmp_path):
-        config = tmp_path / "fail.ini"
-        config.write_text(MINIMAL.replace("initial_norm = 11",
-                                          "initial_norm = 0"))
-        result = CliRunner().invoke(
-            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        result = invoke(tmp_path, MINIMAL.replace("initial_norm = 11", "initial_norm = 0"))
         assert result.exit_code == 1
 
     def test_concrete_norm_past_the_largest_float_is_a_flagged_run(self, tmp_path):
-        config = tmp_path / "runaway.ini"
-        config.write_text("[meta]\nschema = 1\n\n[scenario:runaway]\nkind = run\n"
-                          "mode = CONCRETE\npsi_kind = IDENTITY\n"
-                          "update_kind = DELTA_MONOTONE\ndelta = 1e308\n"
-                          "measure_kind = POWER_LAW\nbeta_pow = 2\nhorizon = 5\n")
-        result = CliRunner().invoke(
-            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        result = invoke(tmp_path, "[meta]\nschema = 1\n\n[scenario:runaway]\nkind = run\n"
+                                  "mode = CONCRETE\npsi_kind = IDENTITY\n"
+                                  "update_kind = DELTA_MONOTONE\ndelta = 1e308\n"
+                                  "measure_kind = POWER_LAW\nbeta_pow = 2\nhorizon = 5\n")
         assert result.exit_code == 0, result.output
         rows = (tmp_path / "out" / "runaway" / "base__seed0.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[-1].endswith(";OVERFLOW")
 
     def test_parse_error_exits_two(self, tmp_path):
-        config = tmp_path / "bad.ini"
-        config.write_text("[meta]\nschema = 1\n\n[scenario:x]\nkind = run\n"
-                          "gamma = nope\nhorizon = 1\n")
-        result = CliRunner().invoke(
-            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        result = invoke(tmp_path, "[meta]\nschema = 1\n\n[scenario:x]\nkind = run\n"
+                                  "gamma = nope\nhorizon = 1\n")
         assert result.exit_code == 2
 
     def test_missing_config_exits_two(self):
@@ -612,9 +618,8 @@ class TestCliVerbs:
         ("psi_kind = GATED", "psi_kind = IDENTITY", 0, "INFO"),  # no gate declared
     ], ids=["missed_gate", "no_gate"])
     def test_gamma_star_verdict_and_exit_code(self, tmp_path, old, new, code, status):
-        tightness = [s for s in builtin_scenarios() if s.name == "tightness"]
         path = tmp_path / "tightness.ini"
-        path.write_text(emit_scenarios(tightness).replace(old, new))
+        path.write_text(emit_scenarios([builtin("tightness")]).replace(old, new))
         result = CliRunner().invoke(main, ["gamma-star", str(path)])
         assert result.exit_code == code
         [verdict] = strict_loads(result.output)["verdicts"]
@@ -631,12 +636,9 @@ class TestCliVerbs:
     @pytest.mark.parametrize("line", ["gain_mode = RELAY", "sweep_gain_mode = STATIC,RELAY"],
                              ids=["relay", "swept"])
     def test_collective_gain_on_a_relay_swarm_exits_two(self, tmp_path, line):
-        config = tmp_path / "relay.ini"
-        config.write_text("[meta]\nschema = 1\n\n[scenario:relay]\nkind = swarm\n"
-                          "beta = 0 0.5; 0.5 0\ngamma = 100\nchecks = collective_gain\n"
-                          + line + "\n")
-        result = CliRunner().invoke(
-            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        result = invoke(tmp_path, "[meta]\nschema = 1\n\n[scenario:relay]\nkind = swarm\n"
+                                  "beta = 0 0.5; 0.5 0\ngamma = 100\nchecks = collective_gain\n"
+                                  + line + "\n")
         assert result.exit_code == 2
         assert "scenario 'relay': check 'collective_gain'" in result.output
         assert not (tmp_path / "out").exists()
@@ -707,15 +709,30 @@ class TestCliVerbs:
         ("gamma-star", "iterations", MINIMAL + "bracket_lo = 1\niterations = 0\n"),
         ("conjecture", "budget_binding",
          MINIMAL + "budgets = 50,100,200\nbudget_binding = gama\n"),
-    ], ids=["bound_target", "rank", "swarm_horizon", "iterations", "budget_binding"])
+        # Each sizes a list: 10**10 steps of history, or 10**10 floats a probe.
+        ("run", "steps", "[meta]\nschema = 1\n\n[scenario:tiny]\nkind = prototype\n"
+                         "steps = 10000000000\n"),
+        ("gamma-star", "mc_samples", MINIMAL + "bracket_lo = 1\nmc_samples = 10000000000\n"),
+        # inf ended time_bound in an OverflowError traceback, nan in a FAIL naming int(nan).
+        *(("run", "bound_target", MINIMAL + f"bound_target = {value}\n")
+          for value in ("inf", "nan", "-inf")),
+    ], ids=["bound_target", "rank", "swarm_horizon", "iterations", "budget_binding",
+            "steps", "mc_samples", "bound_target_inf", "bound_target_nan", "bound_target_-inf"])
     def test_bad_runner_field_exits_two_naming_it(self, tmp_path, verb, field, text):
-        config = tmp_path / "bad.ini"
-        config.write_text(text)
-        result = CliRunner().invoke(
-            main, [verb, str(config), "--out", str(tmp_path / "out")])
+        result = invoke(tmp_path, text, verb)
         assert result.exit_code == 2
         assert f"scenario 'tiny', field {field!r}" in result.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("log_coeff", ["inf", "1e308"])
+    def test_a_log_rank_past_the_largest_float_costs_inf_flops(self, tmp_path, log_coeff):
+        # The rank's ceil used to end the run in an OverflowError traceback.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = invoke(tmp_path, MINIMAL + f"cost_variant = LOG_RANK\nlog_coeff = {log_coeff}")
+        assert result.exit_code == 0, result.output
+        rows = (tmp_path / "out" / "tiny" / "base__seed1.csv").read_text().splitlines()
+        assert {row.split(",")[5] for row in rows[1:]} == {"inf"}
 
     @pytest.mark.parametrize("line,field", [
         ("gama = 5", "gama"), ("horizn = 100", "horizn"), ("sweep_gama = 1,2", "gama"),
@@ -723,10 +740,7 @@ class TestCliVerbs:
         ("c1 = 1", "c1"),
     ])
     def test_unknown_field_exits_two_naming_it(self, tmp_path, line, field):
-        config = tmp_path / "bad.ini"
-        config.write_text(MINIMAL + line + "\n")
-        result = CliRunner().invoke(
-            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        result = invoke(tmp_path, MINIMAL + line + "\n")
         assert result.exit_code == 2
         assert f"scenario 'tiny', field {field!r}: unknown field" in result.output
         assert not (tmp_path / "out").exists()
@@ -738,11 +752,8 @@ class TestCliVerbs:
         "mode = CONCRETE\npsi_kind = MIRROR\ninitial_norm = 1e300\n",
     ], ids=["decay_len_1e300", "decay_len_1e10", "decay_len_inf", "mirror_from_1e300"])
     def test_a_meaning_past_max_symbols_exits_two_naming_it(self, tmp_path, lines):
-        config = tmp_path / "bad.ini"
-        config.write_text("[meta]\nschema = 1\n\n[scenario:tiny]\nkind = run\n"
-                          "update_kind = OVERWRITE\nhorizon = 3\n" + lines)
-        result = CliRunner().invoke(
-            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        result = invoke(tmp_path, "[meta]\nschema = 1\n\n[scenario:tiny]\nkind = run\n"
+                                  "update_kind = OVERWRITE\nhorizon = 3\n" + lines)
         assert result.exit_code == 2
         assert "error: scenario 'tiny': " in result.output
         assert not (tmp_path / "out").exists()
@@ -755,11 +766,8 @@ class TestCliVerbs:
         "psi_kind = GATED\ngamma_true = 5\ngain_hi = 2\ninitial_norm = nan\n",
     ], ids=["mirror_inf", "identity_inf", "mirror_nan", "identity_nan", "gated_nan"])
     def test_a_non_finite_initial_norm_exits_two_naming_it(self, tmp_path, lines):
-        config = tmp_path / "bad.ini"
-        config.write_text("[meta]\nschema = 1\n\n[scenario:tiny]\nkind = run\n"
-                          "mode = ABSTRACT\nupdate_kind = OVERWRITE\nhorizon = 3\n" + lines)
-        result = CliRunner().invoke(
-            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        result = invoke(tmp_path, "[meta]\nschema = 1\n\n[scenario:tiny]\nkind = run\n"
+                                  "mode = ABSTRACT\nupdate_kind = OVERWRITE\nhorizon = 3\n" + lines)
         assert result.exit_code == 2
         assert "error: scenario 'tiny': " in result.output
         assert "initial_norm must be nonnegative and finite" in result.output
@@ -767,10 +775,7 @@ class TestCliVerbs:
 
     def test_a_run_past_max_steps_exits_two_naming_the_horizon(self, tmp_path):
         # 1e10 steps of columns would be 74.5 GiB: refused by arithmetic, before any array.
-        config = tmp_path / "long.ini"
-        config.write_text(MINIMAL.replace("horizon = 50", "horizon = 10000000000"))
-        result = CliRunner().invoke(
-            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        result = invoke(tmp_path, MINIMAL.replace("horizon = 50", "horizon = 10000000000"))
         assert result.exit_code == 2
         assert f"scenario 'tiny': horizon must be at most {MAX_STEPS}" in result.output
         assert not (tmp_path / "out").exists()
@@ -778,10 +783,7 @@ class TestCliVerbs:
     def test_a_swarm_past_max_steps_exits_two_naming_the_horizon(self, tmp_path):
         text = ("[meta]\nschema = 1\n\n[scenario:tiny]\nkind = swarm\n"
                 "beta = 0 0.5; 0.5 0\ngamma = 100\nhorizon = 10000000000\n")
-        config = tmp_path / "long.ini"
-        config.write_text(text)
-        result = CliRunner().invoke(
-            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        result = invoke(tmp_path, text)
         assert result.exit_code == 2
         assert (f"scenario 'tiny', field 'horizon': k * horizon must be at most "
                 f"{MAX_STEPS} agent-ticks") in result.output
@@ -803,20 +805,15 @@ class TestCliVerbs:
     ], ids=["beta_pow_nan", "abstract_symbols", "concrete_norm_without_symbols",
             "gamma_nan", "gamma_true_nan", "temperature_nan", "delta_nan", "delta_inf"])
     def test_an_invalid_measure_or_start_exits_two_naming_it(self, tmp_path, lines, reason):
-        config = tmp_path / "bad.ini"
-        config.write_text("[meta]\nschema = 1\n\n[scenario:tiny]\nkind = run\n"
-                          "horizon = 3\n" + lines)
-        result = CliRunner().invoke(
-            main, ["run", str(config), "--out", str(tmp_path / "out")])
+        result = invoke(tmp_path, "[meta]\nschema = 1\n\n[scenario:tiny]\nkind = run\n"
+                                  "horizon = 3\n" + lines)
         assert result.exit_code == 2
         assert "error: scenario 'tiny': " in result.output and reason in result.output
         assert not (tmp_path / "out").exists()
 
     def test_summary_is_written_without_json_output(self, tmp_path):
-        config = tmp_path / "fail.ini"
-        config.write_text(MINIMAL.replace("csv,json,svg", "csv")
-                          .replace("initial_norm = 11", "initial_norm = 0"))
-        CliRunner().invoke(main, ["run", str(config), "--out", str(tmp_path / "out")])
+        invoke(tmp_path, MINIMAL.replace("csv,json,svg", "csv")
+                         .replace("initial_norm = 11", "initial_norm = 0"))
         assert (tmp_path / "out" / "tiny.summary.json").exists()
         result = CliRunner().invoke(main, ["report", str(tmp_path / "out")])
         assert result.exit_code == 1

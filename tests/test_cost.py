@@ -1,5 +1,7 @@
 """Cost model: closed forms, monotonicity, growth slopes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from loopsim.cost import (
     CostModel,
     CostVariant,
     cumulative_compute,
+    effective_rank,
     flops_array,
     flops_at,
 )
@@ -120,3 +123,17 @@ class TestLogRank:
         report = cumulative_compute(traj, model, fit_window=(100, 10_000))
         assert 0.5 <= report.slope < 1.5
         assert report.slope == pytest.approx(1.0, abs=0.15)
+
+    @pytest.mark.parametrize("log_coeff", [0.05, 0.7, 1.0, 3.0, 1e300])
+    def test_a_finite_rank_keeps_its_value(self, log_coeff):
+        model = CostModel(variant=CostVariant.LOG_RANK, log_coeff=log_coeff)
+        for norm in (0.0, 0.5, 1.0, 1.5, math.e, 11.0, 1e6, 1e300):
+            want = max(1, math.ceil(log_coeff * math.log(max(norm, 1.0))))
+            assert effective_rank(norm, model) == want
+
+    @pytest.mark.parametrize("log_coeff", [math.inf, 1e308])
+    def test_a_rank_past_the_largest_float_costs_inf(self, log_coeff):
+        # log 1 = 0 keeps the rank at 1 there, even under an infinite log_coeff.
+        model = CostModel(variant=CostVariant.LOG_RANK, log_coeff=log_coeff)
+        assert flops_at(1.0, model) == 2.0
+        assert effective_rank(11.0, model) == flops_at(11.0, model) == math.inf

@@ -40,14 +40,13 @@ from loopsim.engine import (
     detect_fixed_point,
     divergence_time_bound,
     epsilon_star,
-    event_names,
+    replay,
     run,
     step,
     windowed,
 )
 from loopsim.engine.core import MAX_SYMBOLS, _bursts
 from loopsim.measures import (
-    combine_measures,
     compression_gain_measure,
     fisher_measure,
     length_measure,
@@ -72,8 +71,7 @@ def abstract_gated(norm0, gamma, gamma_true, gain_lo, gain_hi, delta, horizon,
         initial_norm=norm0, **kwargs)
 
 
-COLUMNS = ("norm", "omega", "delta", "epsilon_t", "flops", "events")
-_BITS = {name: 1 << i for i, name in enumerate(event_names(63))}
+COLUMNS = ("norms", "omega", "delta", "epsilon_t", "flops", "events")
 
 
 @st.composite
@@ -102,8 +100,7 @@ def run_configs(draw):
     measure = length_measure()
     if mode is Mode.CONCRETE and psi is not PsiKind.MIRROR:
         measure = draw(st.sampled_from([
-            length_measure(), compression_gain_measure(), fisher_measure(0.5),
-            combine_measures(1.0, length_measure(), 0.5, compression_gain_measure())]))
+            length_measure(), compression_gain_measure(), fisher_measure(0.5)]))
     kind = draw(st.sampled_from(UpdateKind))
     if kind is UpdateKind.WINDOWED:
         # A fractional drop_to: the CONCRETE cut keeps int(drop_to) symbols
@@ -128,40 +125,6 @@ def run_configs(draw):
         budget=budget,
         cost_model=draw(st.sampled_from(
             [CostModel(), CostModel(variant=CostVariant.LOW_RANK, rank=4)])))
-
-
-def step_loop(cfg):
-    """Rows of `cfg` computed one `step` at a time, plus the final state.
-
-    The run-level flags are added the way `run` documents them: the first
-    step above gamma is CROSSED_GAMMA, a non-finite new norm (or a CONCRETE
-    one above `MAX_SYMBOLS`) is OVERFLOW and ends the run, and so does a
-    deterministic CONCRETE step that leaves the state unchanged (FIXED_POINT).
-    """
-    state = cfg.initial_state()
-    can_stop = cfg.stop_on_fixed_point
-    crossed = state.norm > cfg.gamma
-    cum_flops = 0.0
-    rows = []
-    for t in range(cfg.horizon):
-        new, record = step(state, t, cfg, cum_flops=cum_flops)
-        cum_flops += record.flops
-        bits = sum(_BITS[name] for name in record.events)
-        if not crossed and new.norm > cfg.gamma:
-            bits |= EVENT_CROSSED_GAMMA
-            crossed = True
-        stop = not math.isfinite(new.norm) or (
-            cfg.mode is Mode.CONCRETE and new.norm > MAX_SYMBOLS)
-        if stop:
-            bits |= EVENT_OVERFLOW
-        if can_stop and new == state:
-            bits |= EVENT_FIXED_POINT
-            stop = True
-        rows.append((*record[1:6], bits))
-        state = new
-        if stop:
-            break
-    return rows, state
 
 
 def state_digests(cfg):
@@ -200,10 +163,10 @@ def long_abstract_configs(draw, variant):
     """A `run_configs` draw recast as an ABSTRACT run of 3,000 to 12,000 steps.
 
     Such runs cross the segment path's chunk cap. ``variant`` adds one
-    feature the short configs lack: CONSTANT or DECAYING ψ, a POWER_LAW or
-    combined measure, masked WINDOWED bursts, an OVERWRITE GATED run that
-    drops below ``gamma_true`` on every masked step and climbs back on the
-    next, or a ``max_flops`` gate that trips at a drawn step.
+    feature the short configs lack: CONSTANT or DECAYING ψ, a POWER_LAW
+    measure, masked WINDOWED bursts, an OVERWRITE GATED run that drops below
+    ``gamma_true`` on every masked step and climbs back on the next, or a
+    ``max_flops`` gate that trips at a drawn step.
     """
     cfg = draw(run_configs())
     cfg = dataclasses.replace(cfg, mode=Mode.ABSTRACT, initial_symbols="",
@@ -218,8 +181,7 @@ def long_abstract_configs(draw, variant):
         cfg = dataclasses.replace(cfg, channel=channel)
     elif variant == "measure":
         cfg = dataclasses.replace(cfg, measure=draw(st.sampled_from([
-            power_measure(1.5), power_measure(2.0),
-            combine_measures(0.5, length_measure(), 2.0, power_measure(1.5))])))
+            power_measure(1.5), power_measure(2.0)])))
     elif variant == "windowed":
         cfg = dataclasses.replace(
             cfg, channel=dataclasses.replace(cfg.channel, mask_rate=draw(masks)),
@@ -261,15 +223,16 @@ def long_concrete_configs(draw, kind):
         initial_symbols=draw(st.text("01", min_size=n0, max_size=n0)))
 
 
+def assert_same_run(got, want):
+    """Every column, the norms and the final symbols of two runs agree bit for
+    bit; a failure names the first that differs."""
+    for name in COLUMNS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.final_symbols == want.final_symbols, "final_symbols"
+
+
 def assert_run_matches_step_loop(cfg):
-    traj = run(cfg)
-    rows, state = step_loop(cfg)
-    for name, want in zip(COLUMNS, zip(*rows)):
-        got = getattr(traj, name)
-        assert got.tobytes() == np.array(want, dtype=got.dtype).tobytes(), name
-    assert np.float64(traj.final_norm).tobytes() == np.float64(state.norm).tobytes()
-    if cfg.mode is Mode.CONCRETE:
-        assert traj.final_symbols == state.symbols
+    assert_same_run(run(cfg), replay(cfg))
 
 
 class TestStep:
@@ -328,6 +291,20 @@ class TestStep:
         # The rolling context hashes over long growing contexts and drops.
         assert_run_matches_step_loop(data.draw(long_concrete_configs(kind)))
 
+    @pytest.mark.parametrize("column", ["norms", "events"])
+    def test_one_edited_column_fails_the_comparison_naming_it(self, column):
+        # One ulp in one norm, or one event bit, of a segment-path run.
+        cfg = abstract_gated(11.0, 10.0, 10.0, 0, 10, 1.0, horizon=50, eps=0.3)
+        got, want = run(cfg), replay(cfg)
+        assert_same_run(got, want)
+        edited = getattr(got, column).copy()
+        if column == "norms":
+            edited[20] = np.nextafter(edited[20], math.inf)
+        else:
+            edited[20] ^= EVENT_CROSSED_GAMMA
+        with pytest.raises(AssertionError, match=rf"^{column}\n"):
+            assert_same_run(dataclasses.replace(got, **{column: edited}), want)
+
     @pytest.mark.parametrize("noise_len", [1, 8, 9])
     def test_every_overwrite_noise_path_matches_step_loop(self, noise_len):
         # Both sides of the one-byte noise table (noise_len <= 8), and of the
@@ -384,10 +361,8 @@ class TestRun:
     @pytest.mark.parametrize("build,reason", [
         (lambda nan: epsilon_star(nan, 1.0, 1.0), "delta, gamma and omega_sup must be positive"),
         (lambda nan: divergence_time_bound(0, 11.0, 100.0, nan), "drift must be positive"),
-        (lambda nan: combine_measures(nan, length_measure(), 1.0, length_measure()),
-         "combination coefficients must be positive"),
         (lambda nan: ContextState(norm=nan), "norm must be nonnegative"),
-    ], ids=["epsilon_star", "divergence_time_bound", "combine_measures", "context_state"])
+    ], ids=["epsilon_star", "divergence_time_bound", "context_state"])
     def test_a_nan_argument_to_a_library_helper_is_refused(self, build, reason):
         with pytest.raises(ValueError, match=reason):
             build(math.nan)

@@ -144,6 +144,14 @@ class TestDivergenceTimeBound:
         with pytest.raises(ValueError):
             divergence_time_bound(5, 12.0, 12.0, 10.0)
 
+    @pytest.mark.parametrize("target,drift,reason", [
+        (math.inf, 10.0, "target must be finite"), (math.nan, 10.0, "target must be finite"),
+        (1e10, 1e-300, "inf steps is not finite")], ids=["inf", "nan", "tiny_drift"])
+    def test_refuses_a_bound_that_is_not_finite(self, target, drift, reason):
+        # Each ended in math.ceil's OverflowError or its NaN ValueError.
+        with pytest.raises(ValueError, match=reason):
+            divergence_time_bound(5, 12.0, target, drift)
+
     def test_observed_crossing_within_bound(self):
         traj = gated_run(2.0, 10.0, 2, 10, 1.0, horizon=40)
         t_star = traj.first_crossing(10.0)

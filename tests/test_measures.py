@@ -11,12 +11,10 @@ from loopsim.measures import (
     MeasureSpec,
     SupportMismatchError,
     UnknownTagError,
-    combine_measures,
     compression_gain,
     declared_gain,
     declared_measure,
     fisher_gain,
-    fisher_measure,
     length_measure,
     power_measure,
     symmetrised_kl,
@@ -84,9 +82,8 @@ class TestLengthAndPower:
         with pytest.raises(ValueError, match=r"theta0 must lie in \(0, 1\)"):
             MeasureSpec(MeasureKind.FISHER, theta0=theta0)
 
-    @pytest.mark.parametrize("kind, field", [(MeasureKind.LINEAR_COMBO, "combo"),
-                                             (MeasureKind.DECLARED_BONUS, "bases")],
-                             ids=["combo", "bases"])
+    @pytest.mark.parametrize("kind, field", [(MeasureKind.DECLARED_BONUS, "bases")],
+                             ids=["bases"])
     def test_missing_combo_or_bases_refused_at_construction(self, kind, field):
         with pytest.raises(ValueError, match=f"a {kind.value} measure needs {field}"):
             MeasureSpec(kind)
@@ -186,36 +183,3 @@ class TestDeclaredBonus:
     def test_measure_spec_concat_path(self):
         spec = declared_measure(self.BASES, self.BONUS)
         assert spec.evaluate_concat(Meaning("", tag="1"), Meaning("", tag="2")) == 12.0
-
-
-class TestLinearCombination:
-    def test_pointwise_value(self):
-        combo = combine_measures(1.0, length_measure(), 1.0, length_measure())
-        assert combo.evaluate(Meaning("101")) == 6.0
-
-    def test_zero_second_term(self):
-        combo = combine_measures(2.0, length_measure(), 3.0, fisher_measure(0.5))
-        assert combo.evaluate(Meaning("10")) == 2.0 * 2.0 + 3.0 * 0.0
-
-    def test_declared_lipschitz_bound(self):
-        combo = combine_measures(2.0, length_measure(), 3.0, length_measure())
-        assert combo.lipschitz_bound == 5.0
-
-    def test_unknown_bound_propagates(self):
-        combo = combine_measures(1.0, length_measure(), 1.0, fisher_measure(0.5))
-        assert combo.lipschitz_bound is None
-
-    def test_rejects_nonpositive_coefficients(self):
-        with pytest.raises(ValueError):
-            combine_measures(0.0, length_measure(), 1.0, length_measure())
-        with pytest.raises(ValueError):
-            combine_measures(1.0, length_measure(), -2.0, length_measure())
-
-    def test_pointwise_identity_on_random_inputs(self):
-        rng = np.random.default_rng(9)
-        combo = combine_measures(0.7, length_measure(), 1.3, power_measure(2.0))
-        for _ in range(200):
-            n = int(rng.integers(0, 40))
-            m = Meaning("1" * n)
-            expected = 0.7 * n + 1.3 * float(n) ** 2
-            assert abs(combo.evaluate(m) - expected) <= 1e-12
