@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
@@ -293,7 +294,7 @@ class Draws:
 
     def __init__(self, seed: int):
         self._bitgen = np.random.PCG64(seed)
-        self._words: list[int] = []
+        self._words = array("Q")
         self._bits = ""  # the `_raw_bits` of _words
         self._next = 0  # the index of the next fresh word
         self._kept: int | None = None
@@ -303,7 +304,7 @@ class Draws:
         start = self._next
         if start + count > len(self._words):
             block = self._bitgen.random_raw(max(_DRAWS_BLOCK_WORDS, count))
-            self._words = self._words[start:] + block.tolist()
+            self._words = self._words[start:] + array("Q", block.tobytes())
             bits = (_raw_bits(block[None]) + ord("0")).tobytes().decode()
             self._bits, start = self._bits[2 * start:] + bits, 0
         self._next = start + count
@@ -340,6 +341,51 @@ class Draws:
         if n % 2:
             self._kept = self._words[start + n // 2] >> 32
         return head + self._bits[2 * start:2 * start + n]
+
+    def corpus(self, max_len: int) -> str:
+        """The symbols of `measures.default_sampler(self, max_len)`, read off
+        the block in one call: n = below(max_len + 1), then by random() a
+        uniform bits(n) (below 0.6), n copies of one random() bit (below 0.8)
+        or bits(1 + below(4)) tiled to length n."""
+        # Five words serve every draw but a uniform string's bits, which are
+        # made sure of once n is known; `_next` gives back the words left over.
+        i = self._next if self._next + 5 <= len(self._words) else self._fresh(5)
+        words, bits, kept = self._words, self._bits, self._kept
+        n, k = 0, max_len + 1
+        while k > 1:  # below(k)
+            if kept is None:
+                word, i = words[i], i + 1
+                m, kept = (word & 0xFFFFFFFF) * k, word >> 32
+            else:
+                m, kept = kept * k, None
+            if m & 0xFFFFFFFF >= (1 << 32) % k:
+                n = m >> 32
+                break
+            self._next = i  # rejected
+            i, words, bits = self._fresh(5), self._words, self._bits
+        style, i = (words[i] >> 11) * 2.0**-53, i + 1
+        if 0.6 <= style < 0.8:
+            self._next, self._kept = i + 1, kept
+            return ("1" if (words[i] >> 11) * 2.0**-53 < 0.5 else "0") * n
+        count = n
+        if style < 0.6 and i + n // 2 + 1 > len(words):
+            self._next = i
+            i, words, bits = self._fresh(n // 2 + 1), self._words, self._bits
+        elif style >= 0.8:  # below(4) rejects nothing: 2**32 % 4 == 0
+            if kept is None:
+                word, i = words[i], i + 1
+                u, kept = word & 0xFFFFFFFF, word >> 32
+            else:
+                u, kept = kept, None
+            count = 1 + ((u * 4) >> 32)
+        head = ""  # bits(count)
+        if count and kept is not None:
+            head, kept, count = "01"[kept >> 31], None, count - 1
+        symbols = head + bits[2 * i:2 * i + count]
+        if count % 2:
+            kept = words[i + count // 2] >> 32
+        self._next, self._kept = i + (count + 1) // 2, kept
+        return tile(symbols, n) if style >= 0.8 else symbols
 
 
 def estimate_collision_rate(spec: ChannelSpec, c, trials: int, seed: int = 0) -> float:

@@ -18,6 +18,7 @@ from pathlib import Path
 import click
 
 from .. import __version__
+from ..engine.core import MAX_STEPS
 from .config import (
     Scenario,
     ScenarioParseError,
@@ -127,7 +128,8 @@ def _experiments(config, scenario_name, key, experiment, outdir, suffix) -> None
 
 @main.command(name="audit")
 @click.argument("measure", type=click.Choice(tuple(AUDITS)))
-@click.option("--samples", default=10_000, show_default=True)
+@click.option("--samples", default=10_000, show_default=True,
+              type=click.IntRange(1, MAX_STEPS))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", "outdir", default=None,
               type=click.Path(file_okay=False),

@@ -367,10 +367,8 @@ _FISHER_PROBE = (Meaning("1"), Meaning("0"))
 
 
 def _tagged_sampler(draws):
-    from ..measures.audit import default_sampler
-
-    m = default_sampler(draws, 16)
-    return Meaning(m.symbols, tag="1" if draws.random() < 0.5 else "2")
+    symbols = draws.corpus(16)  # default_sampler(draws, 16), then its tag
+    return Meaning(symbols, tag="1" if draws.random() < 0.5 else "2")
 
 
 # Measure audits: each takes the sample count and seed and returns verdicts.

@@ -19,6 +19,7 @@ from .core import (
     EVENT_BURST_HIT_W,
     EVENT_MASKED,
     EVENT_OVERFLOW,
+    MAX_STEPS,
     PreconditionError,
     RunConfig,
     Trajectory,
@@ -170,8 +171,8 @@ def estimate_gamma_star(
     """
     if not 0.0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got [{lo!r}, {hi!r}]")
-    if iterations < 1 or mc_samples < 1:
-        raise ValueError("iterations and mc_samples must be positive")
+    if not (1 <= iterations <= MAX_STEPS and 1 <= mc_samples <= MAX_STEPS):
+        raise ValueError(f"iterations and mc_samples must lie in [1, {MAX_STEPS}]")
     draws = Draws(derive_seed(seed, "gamma-star"))
     span = (hi - lo) / 4.0
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from enum import Enum
 
+from .core import MAX_STEPS
+
 
 class PrototypeMode(str, Enum):
     OVERWRITE = "OVERWRITE"
@@ -23,8 +25,8 @@ def run_prototype(mode: PrototypeMode | str, steps: int = 200,
                   gamma: float = 10, seed: int = 0) -> list[int]:
     """Histories of the prototype loop; one entry per step."""
     mode = PrototypeMode(mode)
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    if not 1 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must lie in [1, {MAX_STEPS}]")
     rng = random.Random(seed)
     c = 0
     history: list[int] = []

@@ -17,10 +17,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..channel import Draws, tile
-from ..meanings import Meaning, concat, edit_distance
+from ..channel import Draws
+from ..meanings import Meaning, edit_distance
 from .core import MeasureSpec, symmetrised_kl
-from .lz78 import lz78_coded_bits, lz78_parse  # noqa: F401 (perfbench/spans.py patches it)
+from .lz78 import lz78_pair_bits, lz78_parse  # noqa: F401 (perfbench/spans.py patches it)
 
 _TOL = 1e-9
 
@@ -75,15 +75,9 @@ class AuditReport:
 
 
 def default_sampler(draws: Draws, max_len: int = 64) -> Meaning:
-    """Mixed corpus: uniform random strings, constant runs, and periodic strings."""
-    n = draws.below(max_len + 1)
-    style = draws.random()
-    if style < 0.6:
-        return Meaning(draws.bits(n))
-    if style < 0.8:
-        return Meaning(("1" if draws.random() < 0.5 else "0") * n)
-    period = 1 + draws.below(4)
-    return Meaning(tile(draws.bits(period), n))
+    """Mixed corpus: uniform random strings, constant runs, and periodic
+    strings (`Draws.corpus`)."""
+    return Meaning(draws.corpus(max_len))
 
 
 def audit_measure(
@@ -130,9 +124,7 @@ def _violations(spec: MeasureSpec, m1: Meaning,
                 m2: Meaning) -> tuple[list[Counterexample], float | None]:
     """The axioms the pair breaks, in recording order, and its Lipschitz
     ratio (None at edit distance 0)."""
-    v1 = spec.evaluate(m1)
-    v2 = spec.evaluate(m2)
-    joined = spec.evaluate_concat(m1, m2)
+    v1, v2, joined, extended = spec.score_pair(m1, m2)
     found = []
     if v1 < 0.0 or v2 < 0.0 or joined < 0.0:
         found.append(Counterexample(
@@ -145,7 +137,6 @@ def _violations(spec: MeasureSpec, m1: Meaning,
         found.append(Counterexample(
             "MII_MONOTONE", (m1.symbols, m2.symbols), (joined, v1),
             "concatenation scored below its first part"))
-    extended = spec.evaluate_concat(m1, Meaning(""))
     if abs(extended - v1) > _TOL:
         found.append(Counterexample(
             "MII_EXTENSION", (m1.symbols,), (extended, v1),
@@ -181,17 +172,18 @@ def audit_lz_dictionary_reuse(
     The inequality can fail under the incomplete-tail convention, so findings
     are reported rather than asserted.
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
     draws = Draws(seed)
     found: list[Counterexample] = []
     for _ in range(samples):
-        m1 = default_sampler(draws, max_len)
-        m2 = default_sampler(draws, max_len)
-        lhs = lz78_coded_bits(concat(m1, m2))
-        rhs = lz78_coded_bits(m1) + lz78_coded_bits(m2)
-        if lhs > rhs:
+        m1 = draws.corpus(max_len)  # the symbols of default_sampler(draws, max_len)
+        m2 = draws.corpus(max_len)
+        bits1, bits2, lhs = lz78_pair_bits(m1, m2)
+        if lhs > bits1 + bits2:
             found.append(Counterexample(
-                "LZ_DICTIONARY_REUSE", (m1.symbols, m2.symbols),
-                (float(lhs), float(rhs)), "concatenation coded longer than parts"))
+                "LZ_DICTIONARY_REUSE", (m1, m2),
+                (float(lhs), float(bits1 + bits2)), "concatenation coded longer than parts"))
     return found
 
 
@@ -207,6 +199,8 @@ def audit_skl_pairs(samples: int = 100, seed: int = 0) -> dict:
 
     Report-only by design; the k-fold extension is left to scenario authors.
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
     draws = Draws(seed)
     worst_asymmetry = 0.0
     negative = 0

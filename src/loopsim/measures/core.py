@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from ..meanings import Meaning, concat
-from .lz78 import lz78_coded_bits, lz78_parse  # noqa: F401 (perfbench/spans.py patches it)
+from ..meanings import Meaning
+from .lz78 import lz78_coded_bits, lz78_pair_bits
+from .lz78 import lz78_parse  # noqa: F401 (perfbench/spans.py patches it)
 
 
 class SupportMismatchError(ValueError):
@@ -55,19 +56,24 @@ def fisher_gain(m: Meaning, theta0: float) -> float:
     -1/(1-theta0); the result is the square of the summed score. Scores of
     opposite sign cancel, so this measure is deliberately not super-additive.
     """
+    score = _fisher_score(m.symbols, theta0)
+    return score * score
+
+
+def _fisher_score(symbols: str, theta0: float, score: float = 0.0) -> float:
+    """The summed score of `fisher_gain`, carried on over symbols from `score`."""
     if not 0.0 < theta0 < 1.0:
         raise ValueError("theta0 must lie in (0, 1)")
-    score = 0.0
     up = 1.0 / theta0
     down = 1.0 / (1.0 - theta0)
-    for ch in m.symbols:
+    for ch in symbols:
         if ch == "1":
             score += up
         elif ch == "0":
             score -= down
         else:
             raise ValueError(f"fisher gain needs binary symbols, got {ch!r}")
-    return score * score
+    return score
 
 
 def symmetrised_kl(p: Mapping[object, float], q: Mapping[object, float]) -> float:
@@ -175,11 +181,28 @@ class MeasureSpec:
             return declared_gain(m, self.bases, self.bonus)
         return self.evaluate_length(len(m))
 
-    def evaluate_concat(self, m1: Meaning, m2: Meaning) -> float:
-        """Gain of the concatenation m1 || m2 (tag-aware for declared bonus)."""
+    def score_pair(self, m1: Meaning, m2: Meaning) -> tuple[float, float, float, float]:
+        """The gains of m1, of m2, of m1 || m2 and of m1 || "" (tag-aware for
+        declared bonus), each equal to `evaluate` of that meaning. A length
+        kind scores the lengths; FISHER and COMPRESSION_GAIN carry the score
+        or the LZ78 walk over m1 on over m2 for the join."""
+        if self.kind is MeasureKind.COMPRESSION_GAIN:
+            bits1, bits2, joined = lz78_pair_bits(m1.symbols, m2.symbols)
+            n1, n2 = len(m1.symbols), len(m2.symbols)
+            v1 = float(max(0, n1 - bits1))
+            return v1, float(max(0, n2 - bits2)), float(max(0, n1 + n2 - joined)), v1
+        if self.kind is MeasureKind.FISHER:
+            s1 = _fisher_score(m1.symbols, self.theta0)
+            s2 = _fisher_score(m2.symbols, self.theta0)
+            joined = _fisher_score(m2.symbols, self.theta0, s1)
+            return s1 * s1, s2 * s2, joined * joined, s1 * s1
         if self.kind is MeasureKind.DECLARED_BONUS:
-            return declared_gain([m1, m2], self.bases, self.bonus)
-        return self.evaluate(concat(m1, m2))
+            return (self.evaluate(m1), self.evaluate(m2),
+                    declared_gain([m1, m2], self.bases, self.bonus),
+                    declared_gain([m1, Meaning("")], self.bases, self.bonus))
+        n1, n2 = len(m1.symbols), len(m2.symbols)
+        v1 = self.evaluate_length(n1)
+        return v1, self.evaluate_length(n2), self.evaluate_length(n1 + n2), v1
 
     def evaluate_length(self, n: float) -> float:
         """Arithmetic evaluation from a meaning length alone.

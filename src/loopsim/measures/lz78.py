@@ -60,7 +60,8 @@ def lz78_coded_bits(m: Meaning | str) -> int:
     """``lz78_parse(m).coded_bits`` from a walk that only counts phrases: n
     phrases spend sum(ceil(log2 i), i = 1..n) = n*k - 2**k + 1 index bits,
     k = ceil(log2 n), plus one bit for each complete phrase. The dictionary
-    is a trie of dicts keyed by character."""
+    is a trie of dicts keyed by character. The walk is `_walk` written out,
+    which keeps a call off each CONCRETE step."""
     text = m.symbols if isinstance(m, Meaning) else m
     root = node = {}
     complete = 0
@@ -72,6 +73,38 @@ def lz78_coded_bits(m: Meaning | str) -> int:
         else:
             node = child
     n = complete + (node is not root)
+    k = (n - 1).bit_length()
+    return n * k - (1 << k) + 1 + complete if n else 0
+
+
+def lz78_pair_bits(a: str, b: str) -> tuple[int, int, int]:
+    """``lz78_coded_bits`` of a, of b and of a + b. The parse of a + b starts
+    with the parse of a, so the walk over a is carried on over b for the
+    join; b gets one walk of its own."""
+    root = {}
+    node, complete = _walk(a, root, root, 0)
+    bits_a = _coded_bits(complete, node is not root)
+    node, complete = _walk(b, root, node, complete)
+    return bits_a, lz78_coded_bits(b), _coded_bits(complete, node is not root)
+
+
+def _walk(text: str, root: dict, node: dict, complete: int) -> tuple[dict, int]:
+    """Carry a parse on over text from `node`, the trie node the open phrase
+    has reached, and `complete`, the count of complete phrases."""
+    for ch in text:
+        child = node.get(ch)
+        if child is None:
+            node[ch] = {}
+            node, complete = root, complete + 1
+        else:
+            node = child
+    return node, complete
+
+
+def _coded_bits(complete: int, open_tail: bool) -> int:
+    """The coded bits of `complete` phrases and an open tail, as in
+    `lz78_coded_bits`."""
+    n = complete + open_tail
     k = (n - 1).bit_length()
     return n * k - (1 << k) + 1 + complete if n else 0
 

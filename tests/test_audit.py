@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopsim.channel import Draws
 from loopsim.meanings import Meaning, edit_distance
 from loopsim.measures import (
     audit_lz_dictionary_reuse,
     audit_measure,
     audit_skl_pairs,
     compression_gain_measure,
+    default_sampler,
     fisher_measure,
     length_measure,
+    lz78_parse,
     replay_counterexample,
 )
 
@@ -103,6 +106,12 @@ class TestReportShape:
         with pytest.raises(ValueError):
             audit_measure(length_measure(), samples=0)
 
+    @pytest.mark.parametrize("audit", [audit_lz_dictionary_reuse, audit_skl_pairs])
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_side_audits_reject_bad_sample_count(self, audit, samples):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            audit(samples=samples)
+
 
 class TestSideAudits:
     def test_lz_reuse_findings_are_real(self):
@@ -121,3 +130,54 @@ class TestSideAudits:
         assert report["worst_asymmetry"] <= 1e-12
         assert report["negative_values"] == 0
         assert report["pair_super_additivity_failures"] == 0
+
+
+def reference_lz_reuse(samples, seed, max_len):
+    """The dictionary-reuse findings, each side parsed from scratch."""
+    draws, found = Draws(seed), []
+    for _ in range(samples):
+        m1, m2 = (default_sampler(draws, max_len).symbols for _ in range(2))
+        lhs = lz78_parse(m1 + m2).coded_bits
+        rhs = lz78_parse(m1).coded_bits + lz78_parse(m2).coded_bits
+        if lhs > rhs:
+            found.append((m1, m2, float(lhs), float(rhs)))
+    return found
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), samples=st.integers(1, 120),
+       max_len=st.sampled_from([0, 1, 5, 16, 64]))
+def test_lz_reuse_sides_equal_the_parses(seed, samples, max_len):
+    found = audit_lz_dictionary_reuse(samples=samples, seed=seed, max_len=max_len)
+    assert [(*f.inputs, *f.observed) for f in found] == \
+        reference_lz_reuse(samples, seed, max_len)
+
+
+def method_sampler(draws, max_len):
+    """The corpus drawn one `Draws` method call at a time."""
+    n = draws.below(max_len + 1)
+    style = draws.random()
+    if style < 0.6:
+        return draws.bits(n)
+    if style < 0.8:
+        return ("1" if draws.random() < 0.5 else "0") * n
+    return (draws.bits(1 + draws.below(4)) * (n + 1))[:n]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), block=st.integers(1, 5),
+       ops=st.lists(st.sampled_from([0, 1, 16, 64, "random", "bits"]), max_size=40))
+def test_corpus_equals_the_method_calls_across_blocks(seed, block, ops):
+    # Kept half-words, strings and the corpus's own refills that cross block
+    # boundaries, interleaved with the other draws.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("loopsim.channel._DRAWS_BLOCK_WORDS", block)
+        a, b = Draws(seed), Draws(seed)
+        for op in ops:
+            if op == "random":
+                assert a.random() == b.random()
+            elif op == "bits":
+                assert a.bits(3) == b.bits(3)
+            else:
+                assert default_sampler(a, op).symbols == method_sampler(b, op)
+        assert a.random() == b.random()

@@ -589,6 +589,21 @@ class TestCliVerbs:
         doc = json.loads((tmp_path / "length.audit.json").read_text())
         assert doc["verdicts"][0]["status"] == "PASS"
 
+    @pytest.mark.parametrize("measure, samples", [
+        ("length", "0"), ("lz_reuse", "-5"), ("skl", str(MAX_STEPS + 1)),
+        ("skl", "100000000000")])
+    def test_audit_sample_count_out_of_range_exits_two(self, tmp_path, monkeypatch,
+                                                        measure, samples):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the audit started")
+
+        monkeypatch.setattr("loopsim.cli.main.run_audit", refuse)
+        result = CliRunner().invoke(main, ["audit", measure, "--samples", samples,
+                                           "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--samples'" in result.output
+        assert not list(tmp_path.iterdir())
+
     def test_a_failed_audit_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
         args = ["audit", "length", "--samples", "50", "--out", str(tmp_path)]
         assert CliRunner().invoke(main, args).exit_code == 0

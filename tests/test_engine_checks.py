@@ -24,6 +24,7 @@ from loopsim.engine import (
     verify_drift,
     windowed,
 )
+from loopsim.engine.core import MAX_STEPS
 from loopsim.measures import length_measure
 
 
@@ -126,6 +127,18 @@ class TestGammaStar:
             estimate_gamma_star(self.CHANNEL, 10.0, 10.0)
         with pytest.raises(ValueError, match="0 < lo < hi"):
             estimate_gamma_star(self.CHANNEL, -1.0, 10.0)
+
+    @pytest.mark.parametrize("counts", [dict(iterations=MAX_STEPS + 1),
+                                        dict(mc_samples=MAX_STEPS + 1),
+                                        dict(iterations=0), dict(mc_samples=0)],
+                             ids=["iterations", "mc_samples", "no_iterations", "no_samples"])
+    def test_counts_past_max_steps_refused_before_drawing(self, counts, monkeypatch):
+        def refuse(seed):
+            raise AssertionError("the estimate started drawing")
+
+        monkeypatch.setattr("loopsim.engine.checks.Draws", refuse)
+        with pytest.raises(ValueError, match=rf"must lie in \[1, {MAX_STEPS}\]"):
+            estimate_gamma_star(self.CHANNEL, 1.0, 100.0, **counts)
 
 
 class TestDivergenceTimeBound:
@@ -271,3 +284,12 @@ class TestPrototype:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             run_prototype(PrototypeMode.CUMULATIVE, steps=0)
+
+    def test_rejects_steps_past_max_steps_before_running(self, monkeypatch):
+        class Refuse:
+            def Random(self, seed):
+                raise AssertionError("the prototype started running")
+
+        monkeypatch.setattr("loopsim.engine.prototype.random", Refuse())
+        with pytest.raises(ValueError, match=rf"steps must lie in \[1, {MAX_STEPS}\]"):
+            run_prototype(PrototypeMode.CUMULATIVE, steps=MAX_STEPS + 1)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from loopsim.meanings import Meaning
 from loopsim.measures import index_bits, lz78_decode, lz78_parse
-from loopsim.measures.lz78 import lz78_coded_bits
+from loopsim.measures.lz78 import lz78_coded_bits, lz78_pair_bits
 
 
 def reference_parse(text):
@@ -123,3 +123,10 @@ class TestCodedBitsCount:
         for text in ["", "0", "00", "000000", "0000000", "0101", "01010", "é" * 9 + "ab"]:
             assert lz78_coded_bits(text) == lz78_parse(text).coded_bits, text
         assert lz78_parse("0000000").phrases[-1] == (1, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.text(max_size=80), b=st.text(max_size=80))
+def test_pair_bits_equal_the_parses_of_the_parts_and_the_join(a, b):
+    assert lz78_pair_bits(a, b) == (lz78_parse(a).coded_bits, lz78_parse(b).coded_bits,
+                                    lz78_parse(a + b).coded_bits)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsim.meanings import Meaning, concat
 from loopsim.measures import (
@@ -12,9 +14,11 @@ from loopsim.measures import (
     SupportMismatchError,
     UnknownTagError,
     compression_gain,
+    compression_gain_measure,
     declared_gain,
     declared_measure,
     fisher_gain,
+    fisher_measure,
     length_measure,
     power_measure,
     symmetrised_kl,
@@ -182,4 +186,60 @@ class TestDeclaredBonus:
 
     def test_measure_spec_concat_path(self):
         spec = declared_measure(self.BASES, self.BONUS)
-        assert spec.evaluate_concat(Meaning("", tag="1"), Meaning("", tag="2")) == 12.0
+        assert spec.score_pair(Meaning("", tag="1"), Meaning("", tag="2"))[2] == 12.0
+
+
+def reference_pair(spec, m1, m2):
+    """The four gains `score_pair` returns, each from `evaluate` of its own
+    meaning. Tags do not survive `concat`, so a declared-bonus join is the
+    tag-aware `declared_gain` of the list of parts."""
+    if spec.kind is MeasureKind.DECLARED_BONUS:
+        return (spec.evaluate(m1), spec.evaluate(m2),
+                declared_gain([m1, m2], spec.bases, spec.bonus),
+                declared_gain([m1, Meaning("")], spec.bases, spec.bonus))
+    return (spec.evaluate(m1), spec.evaluate(m2), spec.evaluate(concat(m1, m2)),
+            spec.evaluate(concat(m1, Meaning(""))))
+
+
+BINARY = st.text(alphabet="01", max_size=80)
+TAGS = ("a", "b", "c")
+GAINS = st.floats(0.0, 1e6, allow_nan=False)
+
+
+@st.composite
+def specs_and_pairs(draw):
+    """One spec of every kind with meanings it can score. FISHER's theta0 is
+    drawn from all of (0, 1): at 0.5 every score is an exact integer, so a
+    reordered sum would pass. POWER_LAW's exponent is any above 1, the
+    length kinds and COMPRESSION_GAIN take any text, and DECLARED_BONUS
+    takes tagged meanings, empty ones too."""
+    kind = draw(st.sampled_from(MeasureKind))
+    text = st.text(max_size=80)
+    if kind is MeasureKind.FISHER:
+        spec = fisher_measure(draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+        text = BINARY
+    elif kind is MeasureKind.POWER_LAW:
+        spec = power_measure(draw(st.floats(1.0, exclude_min=True, allow_nan=False)))
+    elif kind is MeasureKind.DECLARED_BONUS:
+        bases = {tag: draw(GAINS) for tag in TAGS}
+        bonus = {(a, b): draw(GAINS) for a in TAGS for b in TAGS if a != b}
+        spec = declared_measure(bases, bonus)
+        tagged = st.builds(Meaning, st.text(alphabet="01", max_size=8), st.sampled_from(TAGS))
+        return spec, draw(tagged), draw(tagged)
+    else:
+        spec = compression_gain_measure() if kind is MeasureKind.COMPRESSION_GAIN \
+            else length_measure()
+    return spec, Meaning(draw(text)), Meaning(draw(text))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=specs_and_pairs())
+def test_score_pair_equals_the_reference_bit_for_bit(case):
+    spec, m1, m2 = case
+    got = spec.score_pair(m1, m2)
+    assert [v.hex() for v in got] == [v.hex() for v in reference_pair(spec, m1, m2)]
+
+
+def test_score_pair_refuses_a_non_binary_fisher_symbol():
+    with pytest.raises(ValueError, match="fisher gain needs binary symbols, got 'x'"):
+        fisher_measure(0.3).score_pair(Meaning("01"), Meaning("1x"))

@@ -26,6 +26,18 @@ AUDIT_DIGESTS = {
     "skl": "ba4590ad7e7e61dbf48b6e50054559319e4ec6442ac3fd95e8cb6404fa26eb15",
     "lz_reuse": "139887d3a3b9b090db28e796680ff4c4617ccfa14067466d80af961306865ebb",
 }
+# The same documents at the sample counts of the symbol_audit workload, seed 41.
+AUDIT_DIGESTS_AT_SCALE = {
+    "length": (2000, "ad305a5bc0214ce7b87d96d0ad36ba2f41f52a12edf94d098929655a1e2eb37d"),
+    "compression_gain": (
+        500, "c4ee30c3bae062b4c06c8e9cba9e5ffb6df2d006111826cb35b45f4773637956"),
+    "power_law": (2000, "4d3ec7c4abb82651a95d5f28ca36a4533fcdcffbf4a262c471f4bf8d499be9cd"),
+    "fisher": (2000, "97688e563519e82a04fa6b7896887491a96f54601437eb0611688b932d74c9f3"),
+    "declared_bonus": (
+        2000, "5bda2f7a4d08b24ee19bc20eef4bd3197da94eced3a8dc93a36aeb658c25dd50"),
+    "skl": (2000, "999d61351b4b605c0ca83d278e68cf5015259c1c493ba9565d37b794d27afefd"),
+    "lz_reuse": (2000, "79505cf84a52e6eae0c5a573139e709f96af3622a4cfb344ff57f7791ca2fea1"),
+}
 GAMMA_STAR_DIGEST = "fb792e814cd6763307e4d85e5c7e13f52da9f46911c3d61c31f431fd49fb9019"
 # `tightness` over a TAGGED_INJECTIVE channel, which gains at every norm: the
 # bisection walks down to bracket_lo.
@@ -39,6 +51,12 @@ def sha256(text: str) -> str:
 @pytest.mark.parametrize("measure", list(AUDIT_DIGESTS))
 def test_audit_document_is_pinned(measure):
     assert sha256(json_text(run_audit(measure, samples=777, seed=0))) == AUDIT_DIGESTS[measure]
+
+
+@pytest.mark.parametrize("measure", list(AUDIT_DIGESTS_AT_SCALE))
+def test_audit_document_at_scale_is_pinned(measure):
+    samples, digest = AUDIT_DIGESTS_AT_SCALE[measure]
+    assert sha256(json_text(run_audit(measure, samples=samples, seed=41))) == digest
 
 
 def test_gamma_star_document_is_pinned():
